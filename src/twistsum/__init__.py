@@ -24,14 +24,12 @@ from .euler_maclaurin import (
     quad_remainder,
 )
 from .exact import (
-    FORMAL_X,
     CyclotomicNumber,
     PolynomialX,
     TruncatedSeries,
     cyc_root,
     cyclotomic_polynomial,
     euler_phi,
-    format_rational,
     parse_rational,
 )
 from .powersum import (

@@ -11,6 +11,12 @@ Values are m!-scaled Taylor coefficients (the sum E_m z^m/m! convention), and
 E_0 is whatever the generating function produces at z = 0 -- it is not forced
 to 1.  Twists are restricted to roots of unity so that every coefficient lives
 in Q(zeta_k) and all identities can be checked exactly.
+
+The numbers come from inverting a series over Q(zeta_k).  The x-dependence of
+every generating function above is the factor e^{xz} alone, so each
+polynomial is the binomial assembly of its numbers,
+
+    P_m(x) = sum_i C(m, i) P_{m-i} x^i.
 """
 
 from __future__ import annotations
@@ -22,12 +28,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
-    FORMAL_X,
     CyclotomicNumber,
     PolynomialX,
     RationalLike,
     TruncatedSeries,
     as_fraction,
+    binomial_convolve,
     cyc_root,
 )
 
@@ -83,6 +89,18 @@ class WeightVector:
     def __iter__(self):
         return iter(self.entries)
 
+    def corners(self, N: Sequence[int]):
+        """Yield (indices, A_S.(N_S+1), (-1)^{|S|}) for every subset S of the axes.
+
+        These are the 2^r corner terms of inclusion-exclusion over the box
+        0 <= M <= N; subsets come in bitmask order, the empty one first.
+        """
+        r = len(self.entries)
+        for mask in range(1 << r):
+            indices = tuple(i for i in range(r) if mask >> i & 1)
+            shift = sum(self.entries[i] * (N[i] + 1) for i in indices)
+            yield indices, shift, -1 if len(indices) % 2 else 1
+
     def admissible_for(self, twist: TwistSpec) -> bool:
         return all(twist.admits(a) for a in self.entries)
 
@@ -124,17 +142,25 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
             )
             inv = base.inverse()
             _bernoulli_cache.clear()
-            _bernoulli_cache.extend(
-                inv.taylor_value(n).coeff(0).as_rational() for n in range(trunc + 1)
-            )
+            _bernoulli_cache.extend(inv.taylor_value(n).as_rational() for n in range(trunc + 1))
         return _bernoulli_cache[: n_max + 1]
+
+
+def _binomial_assembly(numbers: Sequence, order: int = 1) -> PolynomialX:
+    """sum_i C(m, i) numbers[m-i] x^i with m = len(numbers) - 1.
+
+    The polynomial whose generating function is e^{xz} times the one of
+    ``numbers``: the m!-scaled z^m coefficient of sum_n numbers[n] z^n/n! * e^{xz}.
+    """
+    m = len(numbers) - 1
+    return PolynomialX.from_coeffs(
+        [numbers[m - i] * math.comb(m, i) for i in range(m + 1)], order
+    )
 
 
 def bernoulli_poly(n: int) -> PolynomialX:
     """The degree-n Bernoulli polynomial, B_n(y) = sum_k C(n,k) B_{n-k} y^k."""
-    numbers = bernoulli_numbers(n)
-    coeffs = [math.comb(n, k) * numbers[n - k] for k in range(n + 1)]
-    return PolynomialX.from_coeffs(coeffs, 1)
+    return _binomial_assembly(bernoulli_numbers(n))
 
 
 def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
@@ -150,13 +176,7 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
 
 def classical_euler_poly(n: int) -> PolynomialX:
     """E_n(x) from the generating function 2 e^{xz}/(e^z + 1)."""
-    denom = TruncatedSeries.from_coeffs(
-        [Fraction(1)]
-        + [Fraction(1, 2 * math.factorial(m)) for m in range(1, n + 1)],
-        n,
-    )
-    gf = denom.inverse() * TruncatedSeries.exp_linear(FORMAL_X, n)
-    return gf.taylor_value(n)
+    return _binomial_assembly(classical_euler_numbers(n))
 
 
 def classical_euler_numbers(n_max: int) -> list[Fraction]:
@@ -167,15 +187,18 @@ def classical_euler_numbers(n_max: int) -> list[Fraction]:
         n_max,
     )
     inv = denom.inverse()
-    return [inv.taylor_value(n).coeff(0).as_rational() for n in range(n_max + 1)]
+    return [inv.taylor_value(n).as_rational() for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
 # generalized Euler numbers and polynomials
 # ---------------------------------------------------------------------------
 
-def _gen_euler_series(m_max: int, twist: TwistSpec, A: WeightVector) -> TruncatedSeries:
-    """2^r / prod_l (1 - zeta^{t a_l} e^{a_l z}) through order m_max."""
+# Shared by the two public builders so that a polynomial build does not run
+# (and is not timed or counted) as a nested call of gen_euler_numbers.
+def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
+    """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{t a_l} e^{a_l z})."""
+    A = _as_weights(A)
     A.require_admissible(twist)
     prod = TruncatedSeries.one(m_max, twist.k)
     for a in A:
@@ -184,35 +207,18 @@ def _gen_euler_series(m_max: int, twist: TwistSpec, A: WeightVector) -> Truncate
         for n in range(1, m_max + 1):
             coeffs.append(-root * Fraction(a**n, math.factorial(n)))
         prod = prod * TruncatedSeries.from_coeffs(coeffs, m_max, twist.k)
-    return prod.inverse().scale(Fraction(2 ** len(A)))
+    series = prod.inverse().scale(Fraction(2 ** len(A)))
+    return [series.taylor_value(m) for m in range(m_max + 1)]
 
 
 def gen_euler_numbers(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
     """E_0(j,A_r)..E_m_max(j,A_r) by series inversion of the twisted product."""
-    A = _as_weights(A)
-    series = _gen_euler_series(m_max, twist, A)
-    return [series.taylor_value(m).coeff(0) for m in range(m_max + 1)]
+    return _gen_euler_values(m_max, twist, A)
 
 
 def gen_euler_poly(m: int, twist: TwistSpec, A) -> PolynomialX:
-    """E_m(x, j; A_r): the m!-scaled z^m coefficient once the e^{xz} factor is on."""
-    A = _as_weights(A)
-    series = _gen_euler_series(m, twist, A) * TruncatedSeries.exp_linear(
-        FORMAL_X, m, twist.k
-    )
-    return series.taylor_value(m)
-
-
-def _binomial_convolve(
-    left: Sequence[CyclotomicNumber], right: Sequence[CyclotomicNumber]
-) -> list[CyclotomicNumber]:
-    out = []
-    for m in range(len(left)):
-        acc = CyclotomicNumber.zero(left[0].order)
-        for i in range(m + 1):
-            acc = acc + left[i] * right[m - i] * Fraction(math.comb(m, i))
-        out.append(acc)
-    return out
+    """E_m(x, j; A_r), binomially assembled from E_0(j,A_r)..E_m(j,A_r)."""
+    return _binomial_assembly(_gen_euler_values(m, twist, A), twist.k)
 
 
 def gen_euler_numbers_by_convolution(
@@ -226,7 +232,7 @@ def gen_euler_numbers_by_convolution(
     A.require_admissible(twist)
     acc = gen_euler_numbers(m_max, twist, WeightVector.of(A.entries[0]))
     for a in A.entries[1:]:
-        acc = _binomial_convolve(acc, gen_euler_numbers(m_max, twist, WeightVector.of(a)))
+        acc = binomial_convolve(acc, gen_euler_numbers(m_max, twist, WeightVector.of(a)))
     return acc
 
 
@@ -261,5 +267,5 @@ def gen_euler_poly_partition_check(
     ]
     acc = values[0]
     for vals in values[1:]:
-        acc = _binomial_convolve(acc, vals)
+        acc = binomial_convolve(acc, vals)
     return acc[m] == lhs

@@ -20,7 +20,7 @@ from typing import Optional
 from . import verify as verify_mod
 from .bernoulli_euler import TwistSpec, WeightVector, gen_euler_numbers, gen_euler_poly
 from .euler_maclaurin import SmoothFunction, em_sum_scaled, em_sum_unit
-from .exact import CyclotomicNumber, format_rational, parse_rational
+from .exact import CyclotomicNumber, parse_rational
 from .powersum import SumSpec, brute_sum, closed_sum, closed_sum_trace
 from .twisted_c import CPolySpec, c_poly, c_star, c_star_multi, c_tilde
 from .zeta import (
@@ -32,13 +32,10 @@ from .zeta import (
     zeta_direct,
 )
 
-DEFAULT_TOL = float(os.environ.get("TWISTSUM_TOL", "1e-10"))
-
-
 def _ser_exact(value: CyclotomicNumber):
     """Rational string when possible, else the {"k", "coeffs"} object."""
     if value.is_rational():
-        return format_rational(value.as_rational())
+        return str(value.as_rational())
     return value.to_json_obj()
 
 
@@ -105,7 +102,7 @@ def _cmd_sum(args) -> dict:
         "spec": {
             "weights": list(spec.A.entries),
             "limits": list(spec.N),
-            "x": format_rational(spec.x),
+            "x": str(spec.x),
             "s": spec.s,
             "k": spec.twist.k,
             "t": spec.twist.t,
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_TOL,
+        default=os.environ.get("TWISTSUM_TOL", "1e-10"),
         help="numeric tolerance for accelerated evaluations (env TWISTSUM_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,21 +19,16 @@ fixed-order Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .exact import roots_of_unity
 from .twisted_c import _periodic_kernel, _require_twist, em_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def cyc_root_embed(k: int, power: int) -> complex:
-    """exp(2*pi*i*power/k) as a double-precision complex number."""
-    return cmath.exp(2j * cmath.pi * (power % k) / k)
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ def quad_remainder(
         raise ValueError("lo must not exceed hi")
     if lo == hi:
         return 0j
-    kernel = _periodic_kernel(q, k, a)
+    kernel = _periodic_kernel(q, k, a % k)
     cuts = [lo]
     j = math.floor(lo * k) + 1
     while j < hi * k - 1e-12:
@@ -180,7 +175,8 @@ def em_sum_unit(
 
     remainder = quad_remainder(q, k, a, f.deriv(q), m, n)
 
-    roots = [cyc_root_embed(k, a * l) for l in range(1, k + 1)]
+    table = roots_of_unity(k)
+    roots = [table[a * l % k] for l in range(1, k + 1)]
     direct = 0j
     for r in range(m, n):
         for l in range(1, k + 1):
@@ -201,9 +197,10 @@ def em_sum_scaled(
     """
     _require_twist(k, a)
     unit = em_sum_unit(g.rescaled(k), m, n, k, a, q)
+    roots = roots_of_unity(k)
     direct = 0j
     for r in range(m * k + 1, n * k + 1):
-        direct += cyc_root_embed(k, a * r) * g(r)
+        direct += roots[a * r % k] * g(r)
     return EMResult(
         main_terms=unit.main_terms,
         remainder=unit.remainder,

@@ -3,12 +3,16 @@
 Provides the scalar tower used everywhere else: arbitrary-precision
 rationals (stdlib ``fractions.Fraction``), elements of the cyclotomic field
 Q(zeta_k) in canonical form modulo the k-th cyclotomic polynomial,
-dense univariate polynomials with cyclotomic coefficients, and truncated
-formal power series with polynomial coefficients.
+truncated formal power series over Q(zeta_k), and dense univariate
+polynomials with cyclotomic coefficients.  A polynomial whose exponential
+generating function is a series times e^{xz} is assembled from the series
+coefficients binomially (see :mod:`twistsum.bernoulli_euler`), so no series
+ever carries the variable x.
 
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
-state is the memoized table of cyclotomic polynomials.
+state is the memoized tables of cyclotomic polynomials and of numeric roots
+of unity.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from typing import Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
-#: sentinel accepted by :func:`TruncatedSeries.exp_linear` for the formal variable
-FORMAL_X = "x"
-
 
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
@@ -34,13 +35,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    return str(q)
-
-
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
+
+
+@functools.lru_cache(maxsize=None)
+def roots_of_unity(k: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*n/k) for n = 0..k-1: every numeric k-th root of unity is read here."""
+    return tuple(cmath.exp(2j * cmath.pi * n / k) for n in range(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,10 +175,10 @@ class CyclotomicNumber:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -296,14 +298,15 @@ class CyclotomicNumber:
 
     def embed(self) -> complex:
         """Numeric image under zeta_k -> exp(2*pi*i/k)."""
+        roots = roots_of_unity(self.order)
         total = 0j
         for i, c in enumerate(self.coeffs):
             if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / self.order)
+                total += float(c) * roots[i]
         return total
 
     def to_json_obj(self) -> dict:
-        return {"k": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
+        return {"k": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json_obj(obj: dict) -> CyclotomicNumber:
@@ -311,16 +314,16 @@ class CyclotomicNumber:
 
     def __str__(self) -> str:
         if self.is_rational():
-            return format_rational(self.coeffs[0])
+            return str(self.coeffs[0])
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if i == 0:
-                terms.append(format_rational(c))
+                terms.append(str(c))
             else:
                 z = f"z{self.order}" if i == 1 else f"z{self.order}^{i}"
-                terms.append(f"{format_rational(c)}*{z}")
+                terms.append(f"{c!s}*{z}")
         return " + ".join(terms) if terms else "0"
 
     __repr__ = __str__
@@ -526,21 +529,21 @@ def cyclotomic_polynomial(k: int) -> PolynomialX:
 
 
 # ---------------------------------------------------------------------------
-# truncated formal power series with PolynomialX coefficients
+# truncated formal power series over Q(zeta_k)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Formal power series in z, truncated at order ``trunc`` (inclusive).
 
-    ``coeffs[n]`` is the coefficient of z^n, a :class:`PolynomialX`.  All ring
-    operations agree with full formal-series arithmetic through order
-    ``trunc``.
+    ``coeffs[n]`` is the coefficient of z^n, a :class:`CyclotomicNumber` of
+    order ``order``.  All ring operations agree with full formal-series
+    arithmetic through order ``trunc``.
     """
 
     trunc: int
     order: int
-    coeffs: tuple[PolynomialX, ...]
+    coeffs: tuple[CyclotomicNumber, ...]
 
     def __post_init__(self):
         if self.trunc < 0:
@@ -550,47 +553,36 @@ class TruncatedSeries:
 
     @staticmethod
     def from_coeffs(values: Sequence, trunc: int, order: int = 1) -> TruncatedSeries:
-        polys = []
+        values = values[: trunc + 1]
         common = order
-        for v in values[: trunc + 1]:
-            p = v if isinstance(v, PolynomialX) else PolynomialX.from_coeffs([v], order)
-            common = math.lcm(common, p.order)
-            polys.append(p)
-        while len(polys) < trunc + 1:
-            polys.append(PolynomialX.zero(common))
-        polys = [p.promote(common) for p in polys]
-        return TruncatedSeries(trunc, common, tuple(polys))
+        for v in values:
+            if isinstance(v, CyclotomicNumber):
+                common = math.lcm(common, v.order)
+        cs = [_as_cyclotomic(v, common) for v in values]
+        cs += [CyclotomicNumber.zero(common)] * (trunc + 1 - len(cs))
+        return TruncatedSeries(trunc, common, tuple(cs))
 
     @staticmethod
     def one(trunc: int, order: int = 1) -> TruncatedSeries:
         return TruncatedSeries.from_coeffs([1], trunc, order)
 
     @staticmethod
-    def exp_linear(scale, trunc: int, order: int = 1) -> TruncatedSeries:
-        """exp(scale*z) truncated; ``scale`` is a rational or the formal x.
-
-        With ``scale=FORMAL_X`` the n-th coefficient is the monomial x^n/n!,
-        which is how the e^{x z} factor of a generating function enters.
-        """
-        coeffs: list[PolynomialX] = []
-        if scale == FORMAL_X:
-            for n in range(trunc + 1):
-                mono = [Fraction(0)] * n + [Fraction(1, math.factorial(n))]
-                coeffs.append(PolynomialX.from_coeffs(mono, order))
-        else:
-            sq = as_fraction(scale)
-            power = Fraction(1)
-            for n in range(trunc + 1):
-                coeffs.append(PolynomialX.constant(power / math.factorial(n), order))
-                power *= sq
+    def exp_linear(scale: RationalLike, trunc: int, order: int = 1) -> TruncatedSeries:
+        """exp(scale*z) truncated, for a rational ``scale``."""
+        sq = as_fraction(scale)
+        coeffs = []
+        power = Fraction(1)
+        for n in range(trunc + 1):
+            coeffs.append(power / math.factorial(n))
+            power *= sq
         return TruncatedSeries.from_coeffs(coeffs, trunc, order)
 
     def _coerce(self, other: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
         if self.trunc != other.trunc:
             raise ValueError("truncation orders differ")
         common = math.lcm(self.order, other.order)
-        a = TruncatedSeries(self.trunc, common, tuple(p.promote(common) for p in self.coeffs))
-        b = TruncatedSeries(other.trunc, common, tuple(p.promote(common) for p in other.coeffs))
+        a = TruncatedSeries(self.trunc, common, tuple(c.promote(common) for c in self.coeffs))
+        b = TruncatedSeries(other.trunc, common, tuple(c.promote(common) for c in other.coeffs))
         return a, b
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -607,48 +599,47 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         a, b = self._coerce(other)
-        out = [PolynomialX.zero(a.order)] * (a.trunc + 1)
+        out = [CyclotomicNumber.zero(a.order)] * (a.trunc + 1)
+        b_terms = [(j, bj) for j, bj in enumerate(b.coeffs) if not bj.is_zero()]
         for i, ai in enumerate(a.coeffs):
             if ai.is_zero():
                 continue
-            for j in range(a.trunc + 1 - i):
-                bj = b.coeffs[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+            for j, bj in b_terms:
+                if i + j > a.trunc:
+                    break
+                out[i + j] = out[i + j] + ai * bj
         return TruncatedSeries(a.trunc, a.order, tuple(out))
 
     def scale(self, factor) -> TruncatedSeries:
-        f = _as_cyclotomic(factor, self.order) if not isinstance(factor, PolynomialX) else factor
-        common = math.lcm(self.order, f.order)
-        return TruncatedSeries(
-            self.trunc, common, tuple(p.promote(common) * f for p in self.coeffs)
-        )
+        f = _as_cyclotomic(factor, self.order)
+        return TruncatedSeries(self.trunc, f.order, tuple(c.promote(f.order) * f for c in self.coeffs))
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse through order ``trunc``.
 
-        Requires the constant term to be a nonzero constant polynomial; uses
-        the standard recursion b_n = -b_0 * sum_{i=1..n} a_i b_{n-i}.
+        Requires a nonzero constant term; uses the standard recursion
+        b_n = -b_0 * sum_{i=1..n} a_i b_{n-i}.
         """
         a0 = self.coeffs[0]
-        if a0.degree() > 0:
-            raise ValueError("constant term must be a constant polynomial")
         if a0.is_zero():
             raise ValueError("constant term must be nonzero")
-        inv0 = a0.coeff(0).inverse()
-        b: list[PolynomialX] = [PolynomialX.constant(inv0, self.order)]
+        inv0 = a0.inverse()
+        neg_inv0 = -inv0
+        terms = [(i, ai) for i, ai in enumerate(self.coeffs) if i and not ai.is_zero()]
+        b = [inv0]
         for n in range(1, self.trunc + 1):
-            acc = PolynomialX.zero(self.order)
-            for i in range(1, n + 1):
-                if not self.coeffs[i].is_zero():
-                    acc = acc + self.coeffs[i] * b[n - i]
-            b.append(acc * PolynomialX.constant(-inv0, self.order))
-        return TruncatedSeries.from_coeffs(b, self.trunc, self.order)
+            acc = CyclotomicNumber.zero(self.order)
+            for i, ai in terms:
+                if i > n:
+                    break
+                acc = acc + ai * b[n - i]
+            b.append(acc * neg_inv0)
+        return TruncatedSeries(self.trunc, self.order, tuple(b))
 
-    def coeff(self, n: int) -> PolynomialX:
+    def coeff(self, n: int) -> CyclotomicNumber:
         return self.coeffs[n]
 
-    def taylor_value(self, n: int) -> PolynomialX:
+    def taylor_value(self, n: int) -> CyclotomicNumber:
         """n! times the z^n coefficient (the Taylor-convention value)."""
         return self.coeffs[n] * Fraction(math.factorial(n))
 
@@ -661,9 +652,18 @@ class TruncatedSeries:
     __hash__ = None  # type: ignore[assignment]
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
+def binomial_convolve(
+    left: Sequence[CyclotomicNumber], right: Sequence[CyclotomicNumber]
+) -> list[CyclotomicNumber]:
+    """out[m] = sum_i C(m, i) left[i] right[m-i], for m below the shorter length.
 
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
+    This is the product of two exponential generating functions
+    sum_m v_m z^m/m!, read back in the same convention.
+    """
+    out = []
+    for m in range(min(len(left), len(right))):
+        acc = CyclotomicNumber.zero(left[0].order)
+        for i in range(m + 1):
+            acc = acc + left[i] * right[m - i] * Fraction(math.comb(m, i))
+        out.append(acc)
+    return out

@@ -80,38 +80,27 @@ def brute_sum(spec: SumSpec) -> CyclotomicNumber:
 
 def closed_sum(spec: SumSpec) -> CyclotomicNumber:
     """The inclusion-exclusion closed form; identical to :func:`brute_sum`."""
-    r = len(spec.A)
     poly = gen_euler_poly(spec.s, spec.twist, spec.A)
     total = CyclotomicNumber.zero(spec.twist.k)
-    for mask in range(1 << r):
-        shift = sum(
-            spec.A.entries[i] * (spec.N[i] + 1) for i in range(r) if mask >> i & 1
-        )
-        sign = -1 if bin(mask).count("1") % 2 else 1
+    for _, shift, sign in spec.A.corners(spec.N):
         term = spec.twist.root(shift) * poly.eval_exact(shift + spec.x)
         total = total + (term if sign > 0 else -term)
-    return total * Fraction(1, 2**r)
+    return total * Fraction(1, 2 ** len(spec.A))
 
 
 def closed_sum_trace(spec: SumSpec) -> list[dict]:
     """Per-subset decomposition of the closed form (for diagnostic output)."""
-    r = len(spec.A)
     poly = gen_euler_poly(spec.s, spec.twist, spec.A)
-    rows = []
-    for mask in range(1 << r):
-        subset = [i + 1 for i in range(r) if mask >> i & 1]
-        shift = sum(spec.A.entries[i] * (spec.N[i] + 1) for i in range(r) if mask >> i & 1)
-        value = poly.eval_exact(shift + spec.x)
-        rows.append(
-            {
-                "subset": subset,
-                "argument": str(shift + spec.x),
-                "sign": -1 if len(subset) % 2 else 1,
-                "root_power": (spec.twist.t * shift) % spec.twist.k,
-                "euler_value": value.to_json_obj(),
-            }
-        )
-    return rows
+    return [
+        {
+            "subset": [i + 1 for i in indices],
+            "argument": str(shift + spec.x),
+            "sign": sign,
+            "root_power": (spec.twist.t * shift) % spec.twist.k,
+            "euler_value": poly.eval_exact(shift + spec.x).to_json_obj(),
+        }
+        for indices, shift, sign in spec.A.corners(spec.N)
+    ]
 
 
 def zero_box_check(x: RationalLike, m: int, twist: TwistSpec, A) -> bool:

@@ -16,10 +16,14 @@ Two evaluations at x = 0 occur and they differ:
 ``em_constant`` returns the periodic one; the starred values C*_{m,k}(a),
 their multinomial extension C*_{m,k}(A_r) and the complex-order combination
 C*_{s,m,k}(x;A_r) are built on it, matching what the zeta asymptotics need.
+``c_star`` and ``c_star_s`` take the twist numerator t of the root
+zeta^{t a} (default 1); the constant sees only t a, the weight scaling
+a^{m-1} the raw weight.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +31,6 @@ from typing import Union
 
 from .bernoulli_euler import (
     SingularTwistError,
-    WeightVector,
     _as_weights,
     bernoulli_poly,
     periodic_bernoulli,
@@ -38,6 +41,7 @@ from .exact import (
     RationalLike,
     TruncatedSeries,
     as_fraction,
+    binomial_convolve,
     cyc_root,
 )
 
@@ -82,17 +86,17 @@ def c_tilde(spec: CPolySpec, x: Union[RationalLike, float]) -> Union[CyclotomicN
             b = periodic_bernoulli(spec.n, xq - Fraction(l, spec.k))
             acc = acc + cyc_root(spec.k, spec.a * l) * b
         return acc
-    return _periodic_kernel(spec.n, spec.k, spec.a)(float(x))
+    return _periodic_kernel(spec.n, spec.k, spec.a % spec.k)(float(x))
 
 
 class _PeriodicKernel:
     """Float evaluator for C~_{q,k}(x;a); smooth between consecutive j/k."""
 
-    def __init__(self, n: int, k: int, a: int):
-        _require_twist(k, a)
+    def __init__(self, n: int, k: int, residue: int):
+        _require_twist(k, residue)
         self.n, self.k = n, k
         self._bcoeffs = [float(c) for c in bernoulli_poly(n).rational_coeffs()]
-        self._roots = [cyc_root(k, a * l).embed() for l in range(k)]
+        self._roots = [cyc_root(k, residue * l).embed() for l in range(k)]
 
     def _bern(self, x: float) -> float:
         frac = x - math.floor(x)
@@ -108,15 +112,15 @@ class _PeriodicKernel:
         return total
 
 
-_kernel_cache: dict[tuple[int, int, int], _PeriodicKernel] = {}
+@functools.lru_cache(maxsize=None)
+def _periodic_kernel(n: int, k: int, residue: int) -> _PeriodicKernel:
+    """The kernel for C~_{n,k}(.;a), keyed on residue = a % k.
 
-
-def _periodic_kernel(n: int, k: int, a: int) -> _PeriodicKernel:
-    key = (n, k, a % k)
-    kernel = _kernel_cache.get(key)
-    if kernel is None:
-        kernel = _kernel_cache[key] = _PeriodicKernel(n, k, a)
-    return kernel
+    The kernel depends on a only through a % k, and the cache never evicts, so
+    callers must reduce a before the call: a raw a gives the same values but
+    builds a duplicate kernel.
+    """
+    return _PeriodicKernel(n, k, residue)
 
 
 def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
@@ -124,42 +128,33 @@ def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
     return c_tilde(CPolySpec(l, k, a), Fraction(0))
 
 
-def c_star(m: int, k: int, a: int) -> CyclotomicNumber:
-    """C*_{m,k}(a) = C_{m,k}(a) * a^{m-1} (exact; m=0 divides by a)."""
+def c_star(m: int, k: int, a: int, t: int = 1) -> CyclotomicNumber:
+    """C*_{m,k}(a) = C_{m,k}(t a) * a^{m-1} (exact; m=0 divides by a)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return em_constant(m, k, a) * Fraction(a) ** (m - 1)
+    return em_constant(m, k, t * a) * Fraction(a) ** (m - 1)
 
 
-def _c_poly_at_zero(m: int, k: int, a: int) -> CyclotomicNumber:
-    return c_poly(CPolySpec(m, k, a)).eval_exact(0)
+def _c_star_nonperiodic(m: int, k: int, a: int, t: int) -> CyclotomicNumber:
+    return c_poly(CPolySpec(m, k, t * a)).eval_exact(0) * Fraction(a) ** (m - 1)
 
 
-def _c_star_nonperiodic(m: int, k: int, a: int) -> CyclotomicNumber:
-    return _c_poly_at_zero(m, k, a) * Fraction(a) ** (m - 1)
+def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]:
+    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] from the stars single(l, k, a, t).
 
-
-def _multinomial_convolve(m: int, k: int, A: WeightVector, single) -> CyclotomicNumber:
-    """sum over l_1+..+l_r=m of multinomial(m; l..) * prod single(l_i, k, a_i)."""
-    tables = [[single(l, k, a) for l in range(m + 1)] for a in A]
-    acc = tables[0]
-    for table in tables[1:]:
-        nxt = []
-        for total in range(m + 1):
-            val = CyclotomicNumber.zero(k)
-            for i in range(total + 1):
-                val = val + acc[i] * table[total - i] * Fraction(math.comb(total, i))
-            nxt.append(val)
-        acc = nxt
-    return acc[m]
+    Entry m is the sum over l_1+..+l_r = m of multinomial(m; l..) times
+    prod_i single(l_i, k, a_i, t): the per-weight tables binomially convolved.
+    """
+    A = _as_weights(A)
+    for a in A:
+        _require_twist(k, t * a)
+    tables = [[single(l, k, a, t) for l in range(m_max + 1)] for a in A]
+    return functools.reduce(binomial_convolve, tables)
 
 
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
     """C*_{m,k}(A_r): the multinomial convolution of the single-weight stars."""
-    A = _as_weights(A)
-    for a in A:
-        _require_twist(k, a)
-    return _multinomial_convolve(m, k, A, c_star)
+    return _star_table(c_star, m, k, A, 1)[m]
 
 
 def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
@@ -211,13 +206,13 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
         factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
         closed_prod = closed_prod * factor1 * factor2
 
+    periodic_stars = _star_table(c_star, m_max, k, A, 1)
+    closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
     for m in range(m_max + 1):
         scale = Fraction(math.factorial(m), k**m)
-        periodic_value = periodic_prod.coeff(m).coeff(0) * scale
-        closed_value = closed_prod.coeff(m).coeff(0) * scale
-        if periodic_value != _multinomial_convolve(m, k, A, c_star):
+        if periodic_prod.coeff(m) * scale != periodic_stars[m]:
             return False
-        if closed_value != _multinomial_convolve(m, k, A, _c_star_nonperiodic):
+        if closed_prod.coeff(m) * scale != closed_stars[m]:
             return False
     return True
 
@@ -247,17 +242,15 @@ def general_binomial(s: complex, j: int) -> complex:
     return pochhammer(s - j + 1, j) / math.factorial(j)
 
 
-def c_star_s(s: complex, m: int, k: int, x: float, A) -> complex:
+def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
     """C*_{s,m,k}(x;A_r) = sum_{j<=m} (-k)^j C(s,j) C*_{j,k}(A_r) x^{s-j}.
 
     Principal branch for x^{s-j}; requires x > 0.
     """
-    A = _as_weights(A)
     if not (x > 0):
         raise ValueError("x must be positive (principal branch)")
     total = 0j
-    for j in range(m + 1):
-        star = c_star_multi(j, k, A)
+    for j, star in enumerate(_star_table(c_star, m, k, A, t)):
         if star.is_zero():
             continue
         total += (
@@ -273,13 +266,11 @@ def c_star_s(s: complex, m: int, k: int, x: float, A) -> complex:
 
 def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A) -> CyclotomicNumber:
     """Exact evaluation of C*_{n,m,k}(x;A_r) for integer order n >= m, rational x."""
-    A = _as_weights(A)
     if n < m:
         raise ValueError("integer order n must be at least the truncation m")
     xq = as_fraction(x)
     total = CyclotomicNumber.zero(k)
-    for j in range(m + 1):
-        star = c_star_multi(j, k, A)
+    for j, star in enumerate(_star_table(c_star, m, k, A, 1)):
         if star.is_zero():
             continue
         term = star * Fraction((-k) ** j * math.comb(n, j)) * xq ** (n - j)

@@ -22,7 +22,7 @@ from . import powersum as ps
 from . import twisted_c as tc
 from . import zeta as zt
 from .bernoulli_euler import TwistSpec, WeightVector
-from .exact import CyclotomicNumber, cyc_root, euler_phi
+from .exact import CyclotomicNumber, TruncatedSeries, cyc_root, euler_phi
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -151,7 +151,6 @@ def suite_exact(seed: int) -> SuiteReport:
     rep.check("Phi_k divides x^k - 1 for k <= 30", divisibility)
 
     def inverse_roundtrip() -> Optional[str]:
-        from .exact import TruncatedSeries
         for _ in range(20):
             T = rng.randint(1, 8)
             coeffs = [Fraction(rng.randint(1, 5))] + [
@@ -162,7 +161,7 @@ def suite_exact(seed: int) -> SuiteReport:
                 return f"series inverse failed for {coeffs}"
         return None
 
-    rep.check("series_inv then series_mul is the identity series", inverse_roundtrip)
+    rep.check("series inverse times the series is the identity series", inverse_roundtrip)
     return rep
 
 
@@ -406,29 +405,17 @@ def suite_cvalues(seed: int) -> SuiteReport:
 
 
 def _genfun_case(k: int, a: int, order_cap: int) -> Optional[str]:
-    """Exact comparison of the twisted Bernoulli generating function with c_poly."""
-    from .exact import CyclotomicNumber as C
-    from .exact import TruncatedSeries
+    """Exact comparison of the twisted Bernoulli generating function with c_poly.
 
+    The x-free part of the generating function is a series over Q(zeta_k);
+    e^{xz} is multiplied in at order_cap + 1 distinct rational x, which fix
+    every polynomial in x of degree <= order_cap.
+    """
     trunc = order_cap
-    # work in w = z/k; build z e^{xz}/(e^z-1) = k w e^{xkw}/(e^{kw}-1)
+    # work in w = z/k; build z/(e^z-1) = k w/(e^{kw}-1), with e^{xz} = e^{(kx) w}
     stripped = TruncatedSeries.from_coeffs(
         [Fraction(k**n, math.factorial(n + 1)) for n in range(trunc + 1)], trunc, k
     )
-    # e^{x k w}: coefficient of w^n is (k x)^n / n!, a polynomial in x
-    from .exact import PolynomialX
-
-    exp_formal = TruncatedSeries.from_coeffs(
-        [
-            PolynomialX.from_coeffs(
-                [Fraction(0)] * n + [Fraction(k**n, math.factorial(n))], k
-            )
-            for n in range(trunc + 1)
-        ],
-        trunc,
-        k,
-    )
-    factor1 = stripped.inverse() * exp_formal
     # (e^{-z}-1)/(zeta^a e^{-z/k}-1) = (e^{-kw}-1)/(zeta^a e^{-w}-1)
     numerator = TruncatedSeries.from_coeffs(
         [0] + [Fraction((-k) ** n, math.factorial(n)) for n in range(1, trunc + 1)],
@@ -436,15 +423,18 @@ def _genfun_case(k: int, a: int, order_cap: int) -> Optional[str]:
         k,
     )
     root = cyc_root(k, a)
-    den_coeffs: list = [root - C.one(k)]
+    den_coeffs: list = [root - CyclotomicNumber.one(k)]
     for n in range(1, trunc + 1):
         den_coeffs.append(root * Fraction((-1) ** n, math.factorial(n)))
     denominator = TruncatedSeries.from_coeffs(den_coeffs, trunc, k)
-    product = factor1 * numerator * denominator.inverse()
-    for n in range(order_cap + 1):
-        lhs = product.coeff(n) * Fraction(math.factorial(n), k**n)
-        if lhs != tc.c_poly(tc.CPolySpec(n, k, a)):
-            return f"genfun coefficient mismatch at n={n}, k={k}, a={a}"
+    x_free = stripped.inverse() * numerator * denominator.inverse()
+    polys = [tc.c_poly(tc.CPolySpec(n, k, a)) for n in range(order_cap + 1)]
+    for x in (Fraction(p, 3) - 1 for p in range(order_cap + 1)):
+        product = x_free * TruncatedSeries.exp_linear(k * x, trunc, k)
+        for n, poly in enumerate(polys):
+            lhs = product.coeff(n) * Fraction(math.factorial(n), k**n)
+            if lhs != poly.eval_exact(x):
+                return f"genfun coefficient mismatch at n={n}, k={k}, a={a}, x={x}"
     return None
 
 

@@ -30,14 +30,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
-from .exact import CyclotomicNumber, as_fraction
-from .twisted_c import em_constant, general_binomial, pochhammer
+from .exact import as_fraction, roots_of_unity
+from .twisted_c import c_star_s, pochhammer
 
 
 class AccelerationError(RuntimeError):
@@ -98,8 +97,10 @@ def _term_power(base: float, exponent: complex) -> complex:
     raise ValueError("negative base off the principal branch")
 
 
-def _root_table(k: int, step: int) -> list[complex]:
-    return [cmath.exp(2j * cmath.pi * ((step * n) % k) / k) for n in range(k)]
+def _axis_roots(k: int, step: int) -> list[complex]:
+    """zeta_k^{step n} for n = 0..k-1, read from the shared root table."""
+    roots = roots_of_unity(k)
+    return [roots[step * n % k] for n in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
         _term_power(0.0, -spec.s)  # raises: the M = 0 term is singular
     k = spec.twist.k
     r = len(spec.A)
-    tables = [_root_table(k, spec.twist.t * a) for a in spec.A.entries]
+    tables = [_axis_roots(k, spec.twist.t * a) for a in spec.A.entries]
     limit = k * terms_per_axis
     total = 0j
     for M in itertools.product(range(limit), repeat=r):
@@ -187,7 +188,7 @@ def zeta_accelerated(
     k = spec.twist.k
     weights = spec.A.entries
     r = len(weights)
-    tables = [_root_table(k, spec.twist.t * a) for a in weights]
+    tables = [_axis_roots(k, spec.twist.t * a) for a in weights]
 
     def axis_value(level: int, shift: float, level_tol: float) -> complex:
         a = weights[level]
@@ -214,43 +215,6 @@ def zeta_accelerated(
 # asymptotic main terms
 # ---------------------------------------------------------------------------
 
-def _axis_star(m: int, k: int, t: int, a: int) -> CyclotomicNumber:
-    """C*_{m,k} for one axis under a general twist numerator t.
-
-    The constant sees only the root zeta^{t a}, so it is the t = 1 star of
-    the effective residue; the weight scaling a^{m-1} keeps the raw weight.
-    """
-    return em_constant(m, k, (t * a) % k) * Fraction(a) ** (m - 1)
-
-
-def _star_multi_twisted(m: int, k: int, t: int, A: WeightVector) -> CyclotomicNumber:
-    tables = [[_axis_star(l, k, t, a) for l in range(m + 1)] for a in A]
-    acc = tables[0]
-    for table in tables[1:]:
-        nxt = []
-        for total in range(m + 1):
-            val = CyclotomicNumber.zero(k)
-            for i in range(total + 1):
-                val = val + acc[i] * table[total - i] * Fraction(math.comb(total, i))
-            nxt.append(val)
-        acc = nxt
-    return acc[m]
-
-
-def _c_star_s_twisted(
-    s: complex, m: int, k: int, t: int, x: float, A: WeightVector
-) -> complex:
-    if not (x > 0):
-        raise ValueError("main-term argument must be positive (principal branch)")
-    total = 0j
-    for j in range(m + 1):
-        star = _star_multi_twisted(j, k, t, A)
-        if star.is_zero():
-            continue
-        total += (-k) ** j * general_binomial(s, j) * star.embed() * complex(x) ** (s - j)
-    return total
-
-
 def zeta_asymptotic(spec: ZetaSpec) -> complex:
     """Closed-form main term for Z(s, x) at sigma = -s, Re(sigma) > -1.
 
@@ -270,15 +234,10 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     q = spec.effective_q()
     prefactor = (
         (-2.0) ** r
-        * cmath.exp(-2j * cmath.pi * ((t * weight_total) % k) / k)
+        * roots_of_unity(k)[t * weight_total % k].conjugate()
         / (k**r * pochhammer(sigma + 1, r))
     )
-    return prefactor * _c_star_s_twisted(sigma + r, q, k, t, arg, spec.A)
-
-
-def _corner_main_term(spec: ZetaSpec, shifted_x: float) -> complex:
-    """The Z(s, shifted_x) main term used inside the finite-sum formula."""
-    return zeta_asymptotic(spec.with_x(shifted_x))
+    return prefactor * c_star_s(sigma + r, q, k, arg, spec.A, t)
 
 
 def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int]) -> complex:
@@ -293,12 +252,11 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int]) -> complex:
     if len(N) != r:
         raise ValueError("limits and weights must have the same length")
     k, t = spec.twist.k, spec.twist.t
+    roots = roots_of_unity(k)
     total = zeta_accelerated(spec)
-    for mask in range(1, 1 << r):
-        shift = sum(spec.A.entries[i] * (N[i] + 1) for i in range(r) if mask >> i & 1)
-        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        root = cmath.exp(2j * cmath.pi * ((t * shift) % k) / k)
-        total += sign * root * _corner_main_term(spec, spec.x + shift)
+    for indices, shift, sign in spec.A.corners(N):
+        if indices:
+            total += sign * roots[t * shift % k] * zeta_asymptotic(spec.with_x(spec.x + shift))
     return total / (2**r)
 
 
@@ -306,7 +264,7 @@ def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
     """Float oracle: the exact finite box sum evaluated term by term."""
     r = len(spec.A)
     k = spec.twist.k
-    tables = [_root_table(k, spec.twist.t * a) for a in spec.A.entries]
+    tables = [_axis_roots(k, spec.twist.t * a) for a in spec.A.entries]
     total = 0j
     for M in itertools.product(*(range(n + 1) for n in N)):
         dot = sum(a * m for a, m in zip(spec.A.entries, M))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from twistsum.cli import main
+from twistsum.cli import build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
 
 
@@ -209,3 +209,18 @@ class TestOutputModes:
         )
         assert code == 0
         assert "closed = 3" in out
+
+
+class TestToleranceEnvironment:
+    def test_malformed_env_tolerance_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWISTSUM_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--s", "2", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_env_tolerance_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
+        argv = ["verify", "--suite", "exact"]
+        assert build_parser().parse_args(argv).tol == 1e-6
+        assert build_parser().parse_args(["--tol", "1e-8"] + argv).tol == 1e-8

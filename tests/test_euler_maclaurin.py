@@ -8,11 +8,11 @@ from twistsum.bernoulli_euler import SingularTwistError
 from twistsum.euler_maclaurin import (
     SmoothFunction,
     check_derivative_consistency,
-    cyc_root_embed,
     em_sum_scaled,
     em_sum_unit,
     quad_remainder,
 )
+from twistsum.exact import roots_of_unity
 
 F = Fraction
 
@@ -101,7 +101,7 @@ class TestUnitForm:
         f = SmoothFunction.from_poly_coeffs([0, 1])
         res = em_sum_unit(f, 0, 2, 2, 1, 1)
         expected = sum(
-            cyc_root_embed(2, l) * (r + l / 2) for r in (0, 1) for l in (1, 2)
+            roots_of_unity(2)[l % 2] * (r + l / 2) for r in (0, 1) for l in (1, 2)
         )
         assert res.direct == pytest.approx(expected)
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from twistsum.exact import (
-    FORMAL_X,
     CyclotomicNumber,
     PolynomialX,
     TruncatedSeries,
@@ -14,7 +13,6 @@ from twistsum.exact import (
     cyc_root,
     cyclotomic_polynomial,
     euler_phi,
-    format_rational,
     parse_rational,
 )
 
@@ -125,8 +123,6 @@ class TestCyclotomicNumber:
         assert val == again
 
     def test_rational_formatting(self):
-        assert format_rational(F(-3, 4)) == "-3/4"
-        assert format_rational(F(5)) == "5"
         assert parse_rational("22/7") == F(22, 7)
 
 
@@ -181,21 +177,15 @@ class TestTruncatedSeries:
     def test_inverse_gives_bernoulli(self):
         base = TruncatedSeries.from_coeffs([F(1, math.factorial(n + 1)) for n in range(5)], 4)
         inv = base.inverse()
-        assert inv.taylor_value(4).coeff(0) == F(-1, 30)
-        assert inv.taylor_value(1).coeff(0) == F(-1, 2)
+        assert inv.taylor_value(4) == F(-1, 30)
+        assert inv.taylor_value(1) == F(-1, 2)
 
     def test_inverse_requires_constant_unit(self):
         with pytest.raises(ValueError):
             TruncatedSeries.from_coeffs([0, 1], 3).inverse()
-        formal = TruncatedSeries.exp_linear(FORMAL_X, 3)
-        with pytest.raises(ValueError):
-            (formal * TruncatedSeries.from_coeffs([PolynomialX.x()], 3, 1)).inverse()
 
     def test_exp_linear(self):
         assert TruncatedSeries.exp_linear(0, 3) == TruncatedSeries.one(3)
-        formal = TruncatedSeries.exp_linear(FORMAL_X, 2)
-        assert formal.coeff(1) == PolynomialX.x()
-        assert formal.coeff(2) == PolynomialX.from_coeffs([0, 0, F(1, 2)])
         threes = TruncatedSeries.exp_linear(3, 3)
         assert threes == TruncatedSeries.from_coeffs([1, 3, F(9, 2), F(9, 2)], 3)
 

@@ -159,6 +159,13 @@ class TestAsymptotic:
         exact = gen_euler_poly(2, TwistSpec(3, 1), (1, 2)).eval_exact(F(12)).embed()
         assert abs(zeta_asymptotic(spec3) - exact) < 1e-8
 
+    @pytest.mark.parametrize("k, t, A", [(5, 2, (1, 3)), (4, 3, (1,))])
+    def test_exact_at_integer_order_general_twist(self, k, t, A):
+        for sigma in (0, 1, 2):
+            spec = spec_of(-sigma, 12, k, t, A, q=sigma + len(A))
+            exact = gen_euler_poly(sigma, TwistSpec(k, t), A).eval_exact(F(12)).embed()
+            assert abs(zeta_asymptotic(spec) - exact) < 1e-8, sigma
+
     def test_branch_guard(self):
         with pytest.raises(ValueError, match="branch"):
             zeta_asymptotic(spec_of(0.5, 0.5, 2, 1, (1,)))
