@@ -21,6 +21,7 @@ polynomial is the binomial assembly of its numbers,
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -100,6 +101,28 @@ class WeightVector:
             indices = tuple(i for i in range(r) if mask >> i & 1)
             shift = sum(self.entries[i] * (N[i] + 1) for i in indices)
             yield indices, shift, -1 if len(indices) % 2 else 1
+
+    def dot_counts(self, N: Sequence[int]) -> list[int]:
+        """counts[d] = #{M : 0 <= M <= N, A.M = d} for d = 0..A.N.
+
+        The coefficients of prod_i (1 - y^{a_i (N_i+1)})/(1 - y^{a_i}), built
+        one axis at a time: multiplying by an axis's factor is a sliding-window
+        sum of width N_i + 1 along each residue class mod a_i.
+        """
+        if len(N) != len(self.entries):
+            raise ValueError("limits and weights must have the same length")
+        if any(n < 0 for n in N):
+            raise ValueError("limits must be nonnegative")
+        counts = [1]
+        for a, n in zip(self.entries, N):
+            padded = counts + [0] * (a * n)
+            for start in range(a):
+                prefix = list(itertools.accumulate(padded[start::a]))
+                padded[start::a] = [
+                    total - before for total, before in zip(prefix, [0] * (n + 1) + prefix)
+                ]
+            counts = padded
+        return counts
 
     def admissible_for(self, twist: TwistSpec) -> bool:
         return all(twist.admits(a) for a in self.entries)

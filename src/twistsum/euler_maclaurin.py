@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .exact import roots_of_unity
 from .twisted_c import _periodic_kernel, _require_twist, em_constant
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(16))
 
 
 @dataclass(frozen=True)
@@ -127,30 +127,46 @@ def quad_remainder(
     """(-1)^{q+1}/q! * integral of C~_{q,k}(x;a) f^{(q)}(x) over [lo, hi].
 
     Gauss-Legendre of fixed order on each smoothness cell; cells are cut at
-    the multiples of 1/k interior to the range.
+    the multiples of 1/k interior to the range.  The kernel has period 1, so
+    on an aligned cell [j/k, (j+1)/k] its node values depend only on j mod k:
+    the weight-times-kernel values are computed once per residue, on the first
+    aligned cell that has it, and off-grid end cells evaluate the kernel
+    directly.  Cells are visited one at a time and f^{(q)} is called node by
+    node, so the working memory does not grow with the number of cells.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     if lo == hi:
         return 0j
     kernel = _periodic_kernel(q, k, a % k)
-    cuts = [lo]
-    j = math.floor(lo * k) + 1
-    while j < hi * k - 1e-12:
-        point = j / k
-        if point > lo + 1e-12:
-            cuts.append(point)
-        j += 1
-    cuts.append(hi)
-    total = 0j
-    for left, right in zip(cuts, cuts[1:]):
+    tables: dict[int, list[complex]] = {}  # residue j mod k -> weight * kernel per node
+
+    def cell(left: float, right: float, residue: Optional[int]) -> complex:
         half = (right - left) / 2.0
         mid = (right + left) / 2.0
-        cell = 0j
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            x = mid + half * node
-            cell += weight * kernel(x) * f_q(x)
-        total += cell * half
+        nodes = [mid + half * node for node in _GL_NODES]
+        weighted = tables.get(residue)
+        if weighted is None:
+            weighted = [weight * kernel(x) for weight, x in zip(_GL_WEIGHTS, nodes)]
+            if residue is not None:
+                tables[residue] = weighted
+        acc = 0j
+        for wk, x in zip(weighted, nodes):
+            acc += wk * f_q(x)
+        return acc * half
+
+    # interior cuts are j/k for first <= j < stop, none within 1e-12 of lo or hi
+    first = math.floor(lo * k) + 1
+    if first / k <= lo + 1e-12:
+        first += 1
+    stop = math.ceil(hi * k - 1e-12)
+    if first >= stop:
+        total = cell(lo, hi, None)
+    else:
+        total = cell(lo, first / k, (first - 1) % k if lo == (first - 1) / k else None)
+        for j in range(first, stop - 1):
+            total += cell(j / k, (j + 1) / k, j % k)
+        total += cell((stop - 1) / k, hi, (stop - 1) % k if hi == stop / k else None)
     sign = 1.0 if (q + 1) % 2 == 0 else -1.0
     return sign * total / math.factorial(q)
 

@@ -5,8 +5,9 @@ The target quantity is the finite box sum
     sum_{M=0..N} (A.M + x)^s * zeta_k^{t (A.M)}
 
 for positive integer weights A, limits N, rational x >= 0 and integer s >= 0.
-``brute_sum`` iterates the lattice; ``closed_sum`` evaluates the
-inclusion-exclusion closed form over the 2^r corner subsets,
+``brute_sum`` sums the definition over the box, grouped by the dot value
+A.M; ``closed_sum`` evaluates the inclusion-exclusion closed form over the
+2^r corner subsets,
 
     (1/2^r) sum_{S} (-1)^{|S|} zeta^{t A_S.(N_S+1)} E_s(A_S.(N_S+1) + x, j; A_r),
 
@@ -16,7 +17,6 @@ exact, so equality is literal equality of canonical forms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,24 +57,27 @@ class SumSpec:
 
 
 def brute_sum(spec: SumSpec) -> CyclotomicNumber:
-    """The multi-sum evaluated term by term over all prod(n_i + 1) lattice points.
+    """The multi-sum evaluated from its definition, one dot value at a time.
 
-    Terms are grouped by the residue of A.M mod k, so the hot loop is pure
-    rational arithmetic; the k root-of-unity multiplications happen once at
-    the end.  Exact rational addition is associative and commutative, so any
-    partition of the index ranges (e.g. across threads) gives identical bits.
+    Every term depends on M only through d = A.M, so the sum is
+    sum_d count(d) (d + x)^s zeta^{t d} with count(d) the number of box points
+    on that dot value (:meth:`WeightVector.dot_counts`).  With x = p/q the
+    terms are accumulated as the integers count(d) (d q + p)^s, grouped by
+    d mod k; the division by q^s and the k root-of-unity multiplications
+    happen once at the end.  All arithmetic is exact, so the value does not
+    depend on the order of the terms.
     """
     k = spec.twist.k
-    residue_acc = [Fraction(0)] * k
-    ranges = [range(n + 1) for n in spec.N]
-    weights = spec.A.entries
-    for M in itertools.product(*ranges):
-        dot = sum(a * m for a, m in zip(weights, M))
-        residue_acc[dot % k] += (dot + spec.x) ** spec.s
+    p, q = spec.x.numerator, spec.x.denominator
+    residue_acc = [0] * k
+    for d, count in enumerate(spec.A.dot_counts(spec.N)):
+        if count:
+            residue_acc[d % k] += count * (d * q + p) ** spec.s
+    scale = q**spec.s
     total = CyclotomicNumber.zero(k)
     for res, acc in enumerate(residue_acc):
         if acc:
-            total = total + spec.twist.root(res) * acc
+            total = total + spec.twist.root(res) * Fraction(acc, scale)
     return total
 
 

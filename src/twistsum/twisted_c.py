@@ -249,8 +249,13 @@ def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
     """
     if not (x > 0):
         raise ValueError("x must be positive (principal branch)")
+    return _c_star_s_from_table(s, k, x, _star_table(c_star, m, k, A, t))
+
+
+def _c_star_s_from_table(s: complex, k: int, x: float, stars) -> complex:
+    """:func:`c_star_s` from its star table [C*_{0,k}(A_r), ..., C*_{m,k}(A_r)]."""
     total = 0j
-    for j, star in enumerate(_star_table(c_star, m, k, A, t)):
+    for j, star in enumerate(stars):
         if star.is_zero():
             continue
         total += (

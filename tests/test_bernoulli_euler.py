@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -246,3 +248,30 @@ class TestSpecs:
             WeightVector(())
         with pytest.raises(ValueError):
             WeightVector((0,))
+
+
+class TestDotCounts:
+    @staticmethod
+    def histogram(A, N):
+        counts = Counter(
+            sum(a * m for a, m in zip(A, M)) for M in itertools.product(*(range(n + 1) for n in N))
+        )
+        return [counts[d] for d in range(sum(a * n for a, n in zip(A, N)) + 1)]
+
+    def test_matches_histogram(self):
+        rng = random.Random(53)
+        cases = [((1,), (0,)), ((3,), (4,)), ((2, 2), (0, 5)), ((1, 1, 1), (3, 3, 3))]
+        for _ in range(40):
+            r = rng.randint(1, 4)
+            A = tuple(rng.randint(1, 6) for _ in range(r))
+            cases.append((A, tuple(rng.randint(0, 6) for _ in range(r))))
+        for A, N in cases:
+            counts = WeightVector(A).dot_counts(N)
+            assert counts == self.histogram(A, N), (A, N)
+            assert sum(counts) == math.prod(n + 1 for n in N)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            WeightVector.of(1, 2).dot_counts((3,))
+        with pytest.raises(ValueError):
+            WeightVector.of(1).dot_counts((-1,))

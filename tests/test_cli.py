@@ -156,6 +156,14 @@ class TestZetaCommand:
         )
         assert obj["value"]["re"] == pytest.approx(210.0, abs=1e-6)
 
+    def test_direct_method_three_axes_default_terms(self, capsys):
+        # the default --terms 400 spans 1200^3 lattice points at k = 3
+        args = ("zeta", "--s", "3", "--x", "1", "--k", "3", "--t", "1", "--weights", "1,2,4")
+        direct = run_json(capsys, *args, "--method", "direct")["value"]
+        accel = run_json(capsys, *args, "--method", "accel")["value"]
+        d, a = complex(direct["re"], direct["im"]), complex(accel["re"], accel["im"])
+        assert abs(d - a) <= 1e-8 * abs(a)
+
 
 class TestProbeCommand:
     def test_shift_probe(self, capsys):

@@ -1,7 +1,10 @@
+import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twistsum.bernoulli_euler import SingularTwistError
@@ -13,6 +16,7 @@ from twistsum.euler_maclaurin import (
     quad_remainder,
 )
 from twistsum.exact import roots_of_unity
+from twistsum.twisted_c import CPolySpec, c_tilde
 
 F = Fraction
 
@@ -58,6 +62,74 @@ class TestQuadRemainder:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
             quad_remainder(1, 2, 1, lambda x: 1.0, 1.0, 0.0)
+
+
+def naive_quad_remainder(q, k, a, f_q, lo, hi):
+    """quad_remainder with the kernel evaluated at every node of every cell."""
+    spec = CPolySpec(q, k, a)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    cuts = [lo]
+    j = math.floor(lo * k) + 1
+    while j < hi * k - 1e-12:
+        if j / k > lo + 1e-12:
+            cuts.append(j / k)
+        j += 1
+    cuts.append(hi)
+    total = 0j
+    for left, right in zip(cuts, cuts[1:]):
+        half, mid = (right - left) / 2.0, (right + left) / 2.0
+        for node, weight in zip(nodes, weights):
+            x = mid + half * node
+            total += weight * c_tilde(spec, float(x)) * f_q(x) * half
+    return (-1) ** (q + 1) * total / math.factorial(q)
+
+
+class TestQuadAgainstNodeLoop:
+    RANGES = [
+        (0.0, 3.0),  # aligned at integers
+        (-2.0, 1.5),  # aligned at multiples of 1/2
+        (0.3, 2.71),  # both ends off the grid
+        (1.0, 2.33),  # one end off the grid
+        (0.41, 0.43),  # a single partial cell
+        (0.7, 0.7),  # empty
+    ]
+
+    @staticmethod
+    def assert_close(value, reference):
+        assert abs(value - reference) <= max(1e-10 * abs(reference), 1e-14), (value, reference)
+
+    def test_ranges(self):
+        rng = random.Random(71)
+        f_q = lambda x: cmath.exp((0.2 + 0.3j) * x) + x * x
+        for q in (1, 2, 3, 4):
+            for k in range(2, 9):
+                a = rng.choice([a for a in range(1, 2 * k) if a % k])
+                ranges = self.RANGES + [(1 / k, 5 / k), (3.0, 3.0 + 7 / k)]
+                for lo, hi in ranges:
+                    self.assert_close(
+                        quad_remainder(q, k, a, f_q, lo, hi),
+                        naive_quad_remainder(q, k, a, f_q, lo, hi),
+                    )
+
+    def test_scaled_form_remainder(self):
+        g = SmoothFunction.exponential(-0.3)
+        res = em_sum_scaled(g, 1, 4, 5, 3, 3)
+        reference = naive_quad_remainder(3, 5, 3, g.rescaled(5).deriv(3), 1, 4)
+        self.assert_close(res.remainder, reference)
+
+    def test_memory_does_not_grow_with_cells(self):
+        f_q = lambda x: 1.0 / (1.0 + x * x)
+
+        def peak(cells):
+            quad_remainder(2, 4, 1, f_q, 0.0, 0.25)  # build the cached kernel first
+            tracemalloc.start()
+            try:
+                quad_remainder(2, 4, 1, f_q, 0.0, cells / 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < peak(40) + 4096
 
 
 class TestUnitForm:

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from twistsum.bernoulli_euler import SingularTwistError, TwistSpec, WeightVector
+from twistsum.exact import CyclotomicNumber
 from twistsum.powersum import (
     SumSpec,
     alternating_sum,
@@ -41,6 +43,41 @@ class TestBruteSum:
 
         expected = cyc_root(3, 1) + cyc_root(3, 2) * 2
         assert brute_sum(spec) == expected
+
+
+def naive_brute_sum(spec: SumSpec) -> CyclotomicNumber:
+    """The box sum walked point by point over all prod(N_i + 1) lattice points."""
+    residue_acc = [F(0)] * spec.twist.k
+    for M in itertools.product(*(range(n + 1) for n in spec.N)):
+        dot = sum(a * m for a, m in zip(spec.A.entries, M))
+        residue_acc[dot % spec.twist.k] += (dot + spec.x) ** spec.s
+    total = CyclotomicNumber.zero(spec.twist.k)
+    for res, acc in enumerate(residue_acc):
+        if acc:
+            total = total + spec.twist.root(res) * acc
+    return total
+
+
+class TestBruteAgainstPointLoop:
+    def test_random_small_boxes(self):
+        rng = random.Random(59)
+        for r in (1, 2, 3, 4):
+            for _ in range(12):
+                k = rng.choice((2, 3, 4, 5, 7))
+                t = rng.randrange(1, k)
+                weights = [a for a in range(1, 8) if (t * a) % k]
+                A = (rng.choice(weights),) * r if rng.random() < 0.4 else tuple(
+                    rng.choice(weights) for _ in range(r)
+                )
+                N = tuple(rng.randint(0, {1: 40, 2: 12, 3: 6, 4: 3}[r]) for _ in range(r))
+                x = F(rng.randint(0, 7), rng.choice((1, 2, 3, 5)))
+                spec = SumSpec.of(A, N, x, rng.randint(0, 5), k, t)
+                assert brute_sum(spec) == naive_brute_sum(spec), spec
+
+    def test_zero_limits(self):
+        for A in ((1,), (4, 1), (1, 1, 1), (2, 5, 1, 4)):
+            spec = SumSpec.of(A, (0,) * len(A), F(2, 3), 3, 3, 1)
+            assert brute_sum(spec) == naive_brute_sum(spec) == F(8, 27)
 
 
 class TestClosedSum:

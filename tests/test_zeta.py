@@ -1,10 +1,14 @@
+import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from twistsum.bernoulli_euler import TwistSpec, gen_euler_poly
+from twistsum import zeta as zeta_mod
 from twistsum.powersum import SumSpec, closed_sum
 from twistsum.zeta import (
     AccelerationError,
@@ -60,6 +64,58 @@ class TestDirect:
     def test_singular_origin_rejected(self):
         with pytest.raises(ZeroDivisionError):
             zeta_direct(spec_of(1, 0, 2, 1, (1,)), 10)
+
+
+def naive_box_sum(spec, N):
+    """sum over 0 <= M <= N of prod_i zeta^{t a_i m_i} (A.M + x)^{-s}, point by point.
+
+    Returns the sum and the sum of the terms' absolute values.
+    """
+    k, t = spec.twist.k, spec.twist.t
+    total, magnitude = 0j, 0.0
+    for M in itertools.product(*(range(n + 1) for n in N)):
+        dot = sum(a * m for a, m in zip(spec.A.entries, M))
+        root = 1.0 + 0j
+        for a, m in zip(spec.A.entries, M):
+            root *= cmath.exp(2j * cmath.pi * (t * a * m % k) / k)
+        term = root * complex(dot + spec.x) ** -spec.s
+        total += term
+        magnitude += abs(term)
+    return total, magnitude
+
+
+class TestDirectAgainstPointLoop:
+    @staticmethod
+    def random_specs(seed, orders):
+        rng = random.Random(seed)
+        for r in (1, 2, 3):
+            for _ in range(6):
+                k = rng.choice((2, 3, 4, 5, 6))
+                t = rng.randrange(1, k)
+                weights = [a for a in range(1, 6) if (t * a) % k]
+                A = tuple(rng.choice(weights) for _ in range(r))
+                x = rng.choice((0.5, 1.0, 2.5))
+                yield r, rng, spec_of(rng.choice(orders), x, k, t, A)
+
+    def test_zeta_direct(self):
+        for r, rng, spec in self.random_specs(61, (0.5, 1.25, 2.5, 1 + 0.5j)):
+            terms = rng.randint(1, {1: 60, 2: 6, 3: 2}[r])
+            side = spec.twist.k * terms - 1
+            reference, magnitude = naive_box_sum(spec, (side,) * r)
+            value = zeta_direct(spec, terms)
+            assert abs(value - 2**r * reference) <= 1e-12 * 2**r * magnitude, spec
+
+    def test_finite_sum_direct(self):
+        for r, rng, spec in self.random_specs(67, (-2, -0.75, 0.5, 1.5, 0.5 - 1j)):
+            N = tuple(rng.randint(0, {1: 200, 2: 25, 3: 8}[r]) for _ in range(r))
+            reference, magnitude = naive_box_sum(spec, N)
+            assert abs(finite_sum_direct(spec, N) - reference) <= 1e-12 * magnitude, (spec, N)
+
+    def test_invalid_boxes_rejected(self):
+        with pytest.raises(ValueError):
+            zeta_direct(spec_of(2, 1, 2, 1, (1,)), 0)
+        with pytest.raises(ValueError):
+            finite_sum_direct(spec_of(2, 1, 2, 1, (1, 3)), (4,))
 
 
 class TestAccelerated:
@@ -206,6 +262,27 @@ class TestFiniteSum:
         direct = finite_sum_direct(spec, (9,))
         exact = float(closed_sum(SumSpec.of((1,), (9,), 1, 2, 2, 1)).as_rational())
         assert direct.real == pytest.approx(exact, abs=1e-9)
+
+    def test_corner_terms_share_one_star_table(self, monkeypatch):
+        spec = spec_of(-1.5, 0.5, 5, 2, (1, 3), q=4)
+        N = (30, 30)
+        # the per-corner evaluation through zeta_asymptotic, bit for bit
+        reference = zeta_accelerated(spec)
+        for indices, shift, sign in spec.A.corners(N):
+            if indices:
+                root = zeta_mod.roots_of_unity(5)[spec.twist.t * shift % 5]
+                reference += sign * root * zeta_asymptotic(spec.with_x(spec.x + shift))
+        reference /= 4
+        builds = []
+        real_table = zeta_mod._star_table
+
+        def counting_table(*args):
+            builds.append(args)
+            return real_table(*args)
+
+        monkeypatch.setattr(zeta_mod, "_star_table", counting_table)
+        assert finite_sum_asymptotic(spec, N) == reference
+        assert len(builds) == 1
 
     def test_limit_mismatch_rejected(self):
         with pytest.raises(ValueError):
