@@ -186,11 +186,21 @@ def bernoulli_poly(n: int) -> PolynomialX:
     return _binomial_assembly(bernoulli_numbers(n))
 
 
+def _bernoulli_value(n: int, y: Fraction) -> Fraction:
+    """B_n(y) at a rational y, by Horner over sum_i C(n, i) B_{n-i} y^i in rationals."""
+    numbers = bernoulli_numbers(n)
+    acc = Fraction(0)
+    for i in range(n, -1, -1):
+        acc *= y
+        if numbers[n - i]:  # B_j = 0 for odd j >= 3
+            acc += math.comb(n, i) * numbers[n - i]
+    return acc
+
+
 def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     """B_n({x}) with {x} in [0,1) the fractional part (exact, rational x)."""
     xq = as_fraction(x)
-    frac = xq - math.floor(xq)
-    return bernoulli_poly(n).eval_exact(frac).as_rational()
+    return _bernoulli_value(n, xq - math.floor(xq))
 
 
 # ---------------------------------------------------------------------------

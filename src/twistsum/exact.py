@@ -4,10 +4,12 @@ Provides the scalar tower used everywhere else: arbitrary-precision
 rationals (stdlib ``fractions.Fraction``), elements of the cyclotomic field
 Q(zeta_k) in canonical form modulo the k-th cyclotomic polynomial,
 truncated formal power series over Q(zeta_k), and dense univariate
-polynomials with cyclotomic coefficients.  A polynomial whose exponential
-generating function is a series times e^{xz} is assembled from the series
-coefficients binomially (see :mod:`twistsum.bernoulli_euler`), so no series
-ever carries the variable x.
+polynomials with cyclotomic coefficients.  x enters every generating function
+of the package only through the factor e^{xz}, so every polynomial is
+assembled binomially from its numbers, its values at x = 0 (see
+:mod:`twistsum.bernoulli_euler`).  There is no polynomial arithmetic: a
+:class:`PolynomialX` is a value that is read, compared and evaluated, and no
+series ever carries the variable x.
 
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
@@ -354,7 +356,8 @@ class PolynomialX:
     """Dense univariate polynomial with CyclotomicNumber coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i; the tuple carries no trailing
-    zeros, and the zero polynomial is the empty tuple.
+    zeros, and the zero polynomial is the empty tuple.  A value type: it is
+    built from its coefficients and then read or evaluated, never combined.
     """
 
     order: int
@@ -371,81 +374,11 @@ class PolynomialX:
             cs.pop()
         return PolynomialX(common, tuple(cs))
 
-    @staticmethod
-    def zero(order: int = 1) -> PolynomialX:
-        return PolynomialX(order, ())
-
-    @staticmethod
-    def constant(value, order: int = 1) -> PolynomialX:
-        return PolynomialX.from_coeffs([value], order)
-
-    @staticmethod
-    def x(order: int = 1) -> PolynomialX:
-        return PolynomialX.from_coeffs([0, 1], order)
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def promote(self, new_order: int) -> PolynomialX:
-        if new_order == self.order:
-            return self
-        return PolynomialX(new_order, tuple(c.promote(new_order) for c in self.coeffs))
-
-    def _coerce(self, other) -> tuple[PolynomialX, PolynomialX]:
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = PolynomialX.from_coeffs([other], self.order)
-        if not isinstance(other, PolynomialX):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        common = math.lcm(self.order, other.order)
-        return self.promote(common), other.promote(common)
-
-    def __add__(self, other) -> PolynomialX:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        n = max(len(a.coeffs), len(b.coeffs))
-        zero = CyclotomicNumber.zero(a.order)
-        out = [
-            (a.coeffs[i] if i < len(a.coeffs) else zero)
-            + (b.coeffs[i] if i < len(b.coeffs) else zero)
-            for i in range(n)
-        ]
-        return PolynomialX.from_coeffs(out, a.order)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> PolynomialX:
-        return PolynomialX(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> PolynomialX:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other) -> PolynomialX:
-        return (-self).__add__(other)
-
-    def __mul__(self, other) -> PolynomialX:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        if a.is_zero() or b.is_zero():
-            return PolynomialX.zero(a.order)
-        zero = CyclotomicNumber.zero(a.order)
-        out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return PolynomialX.from_coeffs(out, a.order)
-
-    __rmul__ = __mul__
 
     def coeff(self, i: int) -> CyclotomicNumber:
         if 0 <= i < len(self.coeffs):
@@ -460,47 +393,17 @@ class PolynomialX:
             acc = acc * xq + c
         return acc
 
-    def eval_cyclotomic(self, x: CyclotomicNumber) -> CyclotomicNumber:
-        acc = CyclotomicNumber.zero(math.lcm(self.order, x.order))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_complex(self, x: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * x + c.embed()
         return acc
 
-    def taylor_shift(self, c: RationalLike) -> PolynomialX:
-        """Return p(x + c) for rational c, computed by exact binomial expansion."""
-        cq = as_fraction(c)
-        n = len(self.coeffs)
-        zero = CyclotomicNumber.zero(self.order)
-        out = [zero] * n
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero():
-                continue
-            power = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] = out[j] + ai * (math.comb(i, j) * power)
-                power *= cq
-        return PolynomialX.from_coeffs(out, self.order)
-
-    def rational_coeffs(self) -> list[Fraction]:
-        return [c.as_rational() for c in self.coeffs]
-
-    def float_coeffs(self) -> list[complex]:
-        return [c.embed() for c in self.coeffs]
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = PolynomialX.from_coeffs([other], self.order)
         if not isinstance(other, PolynomialX):
             return NotImplemented
-        a, b = self._coerce(other)
-        return len(a.coeffs) == len(b.coeffs) and all(
-            x == y for x, y in zip(a.coeffs, b.coeffs)
+        return len(self.coeffs) == len(other.coeffs) and all(
+            x == y for x, y in zip(self.coeffs, other.coeffs)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -584,18 +487,6 @@ class TruncatedSeries:
         a = TruncatedSeries(self.trunc, common, tuple(c.promote(common) for c in self.coeffs))
         b = TruncatedSeries(other.trunc, common, tuple(c.promote(common) for c in other.coeffs))
         return a, b
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        a, b = self._coerce(other)
-        return TruncatedSeries(
-            a.trunc, a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        a, b = self._coerce(other)
-        return TruncatedSeries(
-            a.trunc, a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-        )
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         a, b = self._coerce(other)

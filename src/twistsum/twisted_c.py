@@ -13,6 +13,11 @@ Two evaluations at x = 0 occur and they differ:
   appears in the twisted Euler-Maclaurin formula (its l=1 case has the
   closed form -(1 + sum_q (q/k) zeta^{aq})).
 
+The polynomial is assembled from its numbers C_{m,k}(0;a), m <= n, as every
+polynomial in the package is: B_m(x + y) = sum_i C(m,i) B_{m-i}(y) x^i gives
+C_{n,k}(x;a) = sum_i C(n,i) C_{n-i,k}(0;a) x^i, and each number is a sum of
+Bernoulli values at the rationals -l/k.  No polynomial arithmetic is done.
+
 ``em_constant`` returns the periodic one; the starred values C*_{m,k}(a),
 their multinomial extension C*_{m,k}(A_r) and the complex-order combination
 C*_{s,m,k}(x;A_r) are built on it, matching what the zeta asymptotics need.
@@ -27,12 +32,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .bernoulli_euler import (
     SingularTwistError,
     _as_weights,
-    bernoulli_poly,
+    _bernoulli_value,
+    _binomial_assembly,
+    bernoulli_numbers,
     periodic_bernoulli,
 )
 from .exact import (
@@ -40,6 +47,7 @@ from .exact import (
     PolynomialX,
     RationalLike,
     TruncatedSeries,
+    _reduce_mod_cyclotomic,
     as_fraction,
     binomial_convolve,
     cyc_root,
@@ -67,25 +75,32 @@ class CPolySpec:
         _require_twist(self.k, self.a)
 
 
+def _root_sum(k: int, a: int, values: Sequence[Fraction]) -> CyclotomicNumber:
+    """sum_{l<k} zeta_k^{al} values[l], summed over the powers 1, ..., zeta^{k-1}, then reduced."""
+    raw = [Fraction(0)] * k
+    for l, value in enumerate(values):
+        raw[a * l % k] += value
+    return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
+
+
+def _c_number(m: int, k: int, a: int) -> CyclotomicNumber:
+    """C_{m,k}(0;a) = sum_{l<k} zeta^{al} B_m(-l/k), exact."""
+    return _root_sum(k, a, [_bernoulli_value(m, Fraction(-l, k)) for l in range(k)])
+
+
 def c_poly(spec: CPolySpec) -> PolynomialX:
-    """C_{n,k}(x;a) as an exact polynomial over Q(zeta_k)."""
-    bn = bernoulli_poly(spec.n)
-    acc = PolynomialX.zero(spec.k)
-    for l in range(spec.k):
-        shifted = bn.taylor_shift(Fraction(-l, spec.k))
-        acc = acc + shifted * cyc_root(spec.k, spec.a * l)
-    return acc
+    """C_{n,k}(x;a) as an exact polynomial over Q(zeta_k), assembled from its numbers."""
+    return _binomial_assembly(
+        [_c_number(m, spec.k, spec.a) for m in range(spec.n + 1)], spec.k
+    )
 
 
 def c_tilde(spec: CPolySpec, x: Union[RationalLike, float]) -> Union[CyclotomicNumber, complex]:
     """C~_{n,k}(x;a): exact cyclotomic for rational x, complex for float x."""
     if isinstance(x, (int, Fraction)):
-        acc = CyclotomicNumber.zero(spec.k)
         xq = as_fraction(x)
-        for l in range(spec.k):
-            b = periodic_bernoulli(spec.n, xq - Fraction(l, spec.k))
-            acc = acc + cyc_root(spec.k, spec.a * l) * b
-        return acc
+        values = [periodic_bernoulli(spec.n, xq - Fraction(l, spec.k)) for l in range(spec.k)]
+        return _root_sum(spec.k, spec.a, values)
     return _periodic_kernel(spec.n, spec.k, spec.a % spec.k)(float(x))
 
 
@@ -95,7 +110,8 @@ class _PeriodicKernel:
     def __init__(self, n: int, k: int, residue: int):
         _require_twist(k, residue)
         self.n, self.k = n, k
-        self._bcoeffs = [float(c) for c in bernoulli_poly(n).rational_coeffs()]
+        numbers = bernoulli_numbers(n)
+        self._bcoeffs = [float(math.comb(n, i) * numbers[n - i]) for i in range(n + 1)]
         self._roots = [cyc_root(k, residue * l).embed() for l in range(k)]
 
     def _bern(self, x: float) -> float:
@@ -125,7 +141,14 @@ def _periodic_kernel(n: int, k: int, residue: int) -> _PeriodicKernel:
 
 def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
     """The Euler-Maclaurin constant C_{l,k}(a) := C~_{l,k}(0;a)."""
-    return c_tilde(CPolySpec(l, k, a), Fraction(0))
+    CPolySpec(l, k, a)  # validate before a is reduced mod k
+    return _em_constant(l, k, a % k)
+
+
+@functools.lru_cache(maxsize=None)
+def _em_constant(l: int, k: int, residue: int) -> CyclotomicNumber:
+    """:func:`em_constant`, keyed on residue = a % k like :func:`_periodic_kernel`."""
+    return c_tilde(CPolySpec(l, k, residue), Fraction(0))
 
 
 def c_star(m: int, k: int, a: int, t: int = 1) -> CyclotomicNumber:
@@ -136,7 +159,7 @@ def c_star(m: int, k: int, a: int, t: int = 1) -> CyclotomicNumber:
 
 
 def _c_star_nonperiodic(m: int, k: int, a: int, t: int) -> CyclotomicNumber:
-    return c_poly(CPolySpec(m, k, t * a)).eval_exact(0) * Fraction(a) ** (m - 1)
+    return _c_number(m, k, t * a) * Fraction(a) ** (m - 1)
 
 
 def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]:

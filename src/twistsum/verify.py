@@ -259,13 +259,12 @@ def suite_euler(seed: int, path_instances: int = 50) -> SuiteReport:
     rep.check(f"series path equals convolution path ({path_instances} random draws)", paths)
 
     def complement() -> Optional[str]:
-        from .exact import PolynomialX
+        # m + 1 distinct points fix a polynomial identity of degree <= m
         for m in range(11):
             p = be.classical_euler_poly(m)
-            lhs = p + p.taylor_shift(1)
-            rhs = PolynomialX.from_coeffs([0] * m + [2], 1)
-            if lhs != rhs:
-                return f"E_m(x) + E_m(x+1) != 2 x^m at m={m}"
+            for x in (Fraction(j, 3) - 1 for j in range(m + 1)):
+                if p.eval_exact(x) + p.eval_exact(x + 1) != 2 * x**m:
+                    return f"E_m(x) + E_m(x+1) != 2 x^m at m={m}"
         return None
 
     rep.check("complement identity E_m(x) + E_m(x+1) = 2 x^m", complement)

@@ -296,7 +296,13 @@ def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
 @dataclass(frozen=True)
 class ContinuationReport:
     """Comparison of the accelerated continuation at s = -m with the exact
-    generalized-Euler-polynomial value, under both candidate normalizations."""
+    generalized-Euler-polynomial value, under both candidate normalizations.
+
+    The ``alternative_*`` fields keep the rejected normalization E_m(c)/e^{jc}
+    on purpose: where e^{jc} != 1 it must fail while the adopted one matches,
+    which shows that the bridge check can tell the two apart.  Where
+    e^{jc} = 1 the two coincide and the check cannot.
+    """
 
     accelerated: complex
     exact_value: complex

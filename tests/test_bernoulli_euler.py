@@ -35,6 +35,11 @@ def recurrence_bernoulli(n_max):
     return values
 
 
+def sympy_mod_phi(sympy, expr, k, zeta):
+    """expr expanded and reduced modulo the k-th cyclotomic polynomial in zeta."""
+    return sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(k, zeta), zeta)
+
+
 def sympy_gen_euler_poly(sympy, m, k, t, A):
     """E_m(x, j; A_r) from its defining relation, computed in sympy alone.
 
@@ -47,7 +52,7 @@ def sympy_gen_euler_poly(sympy, m, k, t, A):
     phi = sympy.cyclotomic_poly(k, zeta)
 
     def reduce(expr):
-        return sympy.rem(sympy.expand(expr), phi, zeta)
+        return sympy_mod_phi(sympy, expr, k, zeta)
 
     truncated_exp = lambda a: sum(a**n * z**n / sympy.factorial(n) for n in range(m + 1))
     product = sympy.expand(sympy.Mul(*(1 - zeta ** (t * a) * truncated_exp(a) for a in A)))
@@ -133,9 +138,11 @@ class TestClassicalEuler:
         assert classical_euler_numbers(3) == [F(1), F(-1, 2), F(0), F(1, 4)]
 
     def test_complement_identity(self):
+        # E_m(x) + E_m(x+1) = 2 x^m, at m + 1 points, which fix a degree-m identity
         for m in range(11):
             p = classical_euler_poly(m)
-            assert p + p.taylor_shift(1) == PolynomialX.from_coeffs([0] * m + [2])
+            for x in (F(j, 3) - 1 for j in range(m + 1)):
+                assert p.eval_exact(x) + p.eval_exact(x + 1) == 2 * x**m, (m, x)
 
 
 class TestGeneralizedEuler:

@@ -104,6 +104,45 @@ class TestCValuesCommand:
         obj = run_json(capsys, "c-values", "--n", "1", "--k", "3", "--a", "1", "--star", "--numeric")
         assert obj["c_star"]["re"] == pytest.approx(-0.5)
 
+    def test_golden_output(self, capsys):
+        # Pinned stdout of C_{9,7}(x;3) and of C~_{9,7}(7/5;3); the x^9 coefficient
+        # sum_l zeta^{3l} vanishes, so the polynomial has nine coefficients.
+        code, out, err = run_cli(capsys, "c-values", "--n", "9", "--k", "7", "--a", "3")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_C_POLY_9_7_3
+        code, out, err = run_cli(
+            capsys, "c-values", "--n", "9", "--k", "7", "--a", "3", "--x", "7/5"
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_C_TILDE_9_7_3
+
+
+GOLDEN_C_POLY_9_7_3 = (
+    '{"c_poly": ['
+    '{"coeffs": ["-1852983/40353607", "-28331469/40353607", "-1436580/40353607", '
+    '"-49869/5764801", "-109172754/40353607", "-973071/5764801"], "k": 7}, '
+    '{"coeffs": ["-2183112/5764801", "5615784/823543", "2196288/5764801", '
+    '"-1525320/5764801", "139561920/5764801", "9351576/5764801"], "k": 7}, '
+    '{"coeffs": ["863676/823543", "-25948044/823543", "-753264/823543", '
+    '"251532/823543", "-80827128/823543", "-6030684/823543"], "k": 7}, '
+    '{"coeffs": ["25272/16807", "222696/2401", "1728/343", '
+    '"1800/2401", "561600/2401", "68328/2401"], "k": 7}, '
+    '{"coeffs": ["2970/2401", "-397890/2401", "-45000/2401", '
+    '"8370/2401", "-819540/2401", "-161370/2401"], "k": 7}, '
+    '{"coeffs": ["-5832/343", "8424/49", "10368/343", '
+    '"-4680/343", "103680/343", "29016/343"], "k": 7}, '
+    '{"coeffs": ["1188/49", "-4932/49", "-1152/49", '
+    '"108/7", "-7704/49", "-396/7"], "k": 7}, '
+    '{"coeffs": ["-648/49", "216/7", "432/49", '
+    '"-360/49", "2160/49", "936/49"], "k": 7}, '
+    '{"coeffs": ["18/7", "-27/7", "-9/7", "9/7", "-36/7", "-18/7"], "k": 7}]}\n'
+)
+GOLDEN_C_TILDE_9_7_3 = (
+    '{"c_tilde": {"coeffs": ["55426328073/15763127734375", "1182847723506/15763127734375", '
+    '"629037675099/15763127734375", "-36285074253/2251875390625", '
+    '"693348890382/15763127734375", "4718160891/64339296875"], "k": 7}}\n'
+)
+
 
 class TestEmSumCommand:
     def test_quadratic_example(self, capsys):

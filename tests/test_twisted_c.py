@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistsum.bernoulli_euler import SingularTwistError
+from test_bernoulli_euler import sympy_mod_phi
+from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root
 from twistsum.twisted_c import (
     CPolySpec,
@@ -55,6 +56,41 @@ class TestCPoly:
             CPolySpec(1, 1, 1)
 
 
+class TestAgainstSympy:
+    def test_c_poly_coefficients(self):
+        # sum_l zeta^{al} B_n(x - l/k) from sympy: the shifted Bernoulli polynomials
+        # are summed per power zeta^r, r = al mod k, and each zeta^r is replaced
+        # by its reduction mod Phi_k
+        sympy = pytest.importorskip("sympy")
+        x, zeta = sympy.symbols("x zeta")
+        for k in (5, 7, 8, 12):
+            reduced = [sympy.Poly(sympy_mod_phi(sympy, zeta**r, k, zeta), zeta) for r in range(k)]
+            degree = sympy.degree(sympy.cyclotomic_poly(k, zeta), zeta)
+            basis = [[F(str(p.coeff_monomial(zeta**j))) for j in range(degree)] for p in reduced]
+            for n in range(17):
+                a = 1 + (5 * n) % (k - 1)
+                bn = sympy.Poly(sympy.bernoulli(n, x), x, domain="QQ")
+                per_root = [sympy.Poly(0, x, domain="QQ")] * k
+                for l in range(k):
+                    per_root[a * l % k] += bn.shift(-sympy.Rational(l, k))
+                ref = []
+                for i in range(n + 1):
+                    c = [F(str(p.coeff_monomial(x**i))) for p in per_root]
+                    ref.append([sum(c[r] * basis[r][j] for r in range(k)) for j in range(degree)])
+                while ref and not any(ref[-1]):
+                    ref.pop()
+                mine = [list(c.coeffs) for c in c_poly(CPolySpec(n, k, a)).coeffs]
+                assert mine == ref, (n, k, a)
+
+    def test_bernoulli_value(self):
+        sympy = pytest.importorskip("sympy")
+        points = (F(-7, 3), F(-1), F(-1, 2), F(-1, 12), F(0), F(5, 7), F(13, 4))
+        for n in range(17):
+            for y in points:
+                ref = sympy.bernoulli(n, sympy.Rational(y.numerator, y.denominator))
+                assert _bernoulli_value(n, y) == F(str(ref)), (n, y)
+
+
 class TestCTilde:
     def test_piecewise_values_k2(self):
         spec = CPolySpec(1, 2, 1)
@@ -93,6 +129,22 @@ class TestEmConstant:
         for k in range(2, 9):
             for a in range(1, k):
                 assert em_constant(0, k, a).is_zero()
+
+    def test_depends_on_a_mod_k(self):
+        for k in (2, 5, 12):
+            for a in range(-k, 2 * k):
+                if a % k:
+                    for l in range(5):
+                        assert em_constant(l, k, a) == em_constant(l, k, a + k)
+
+    def test_invalid_modulus_raises_value_error(self):
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError, match="modulus"):
+                em_constant(1, k, 1)
+        with pytest.raises(SingularTwistError):
+            em_constant(1, 4, 8)
+        with pytest.raises(ValueError):
+            em_constant(-1, 4, 1)
 
     def test_order_one_closed_form(self):
         # -(1 + sum_q (q/k) zeta^{aq})
