@@ -240,7 +240,7 @@ def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]
         for n in range(1, m_max + 1):
             coeffs.append(-root * Fraction(a**n, math.factorial(n)))
         prod = prod * TruncatedSeries.from_coeffs(coeffs, m_max, twist.k)
-    series = prod.inverse().scale(Fraction(2 ** len(A)))
+    series = prod.inverse().scale(2 ** len(A))
     return [series.taylor_value(m) for m in range(m_max + 1)]
 
 

@@ -15,6 +15,12 @@ All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
 state is the memoized tables of cyclotomic polynomials and of numeric roots
 of unity.
+
+Every value lives in one field Q(zeta_k), the field of its twist's modulus
+k, and no computation combines two cyclotomic fields.  Rationals are
+scalars: an int, a Fraction or a rational-valued number acts coefficientwise
+on a number of any order, and two irrational numbers of different orders do
+not combine.
 """
 
 from __future__ import annotations
@@ -141,8 +147,12 @@ class CyclotomicNumber:
     """An element of Q(zeta_k), reduced modulo Phi_k.
 
     ``coeffs`` has length phi(k) and holds the coordinates in the power basis
-    1, zeta, zeta^2, ...  Equality of values is equality of representations
-    (after promotion to a common order, taken to be lcm of the two orders).
+    1, zeta, zeta^2, ...  Two numbers of the same order combine by field
+    arithmetic, and are equal when their representations are.  A rational
+    (an int, a Fraction or a number whose value is rational) acts on a number
+    of another order coefficientwise, from either side, and the result keeps
+    that number's order.  Two irrational numbers of different orders do not
+    combine: arithmetic raises TypeError and ``==`` is False.
     """
 
     order: int
@@ -187,34 +197,33 @@ class CyclotomicNumber:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def promote(self, new_order: int) -> CyclotomicNumber:
-        """Embed into Q(zeta_L) via zeta_k -> zeta_L^(L/k); L must be a multiple of k."""
-        if new_order == self.order:
-            return self
-        if new_order % self.order != 0:
-            raise ValueError(f"cannot promote order {self.order} to {new_order}")
-        step = new_order // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 if self.coeffs else 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * step] += c
-        return CyclotomicNumber(new_order, _reduce_mod_cyclotomic(raw, new_order))
+    def _scalar_pair(self, other):
+        """(number, q) when one operand is a rational q that acts on the other, else None.
 
-    def _coerce(self, other) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+        For any pair other than two numbers of one order.  Of two rational
+        numbers the one of lower order is q, so the result keeps the larger
+        order.
+        """
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
+            return self, other
         if not isinstance(other, CyclotomicNumber):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        common = math.lcm(self.order, other.order)
-        return self.promote(common), other.promote(common)
+            return None
+        if other.is_rational() and (other.order < self.order or not self.is_rational()):
+            return self, other.coeffs[0]
+        if self.is_rational() and (self.order < other.order or not other.is_rational()):
+            return other, self.coeffs[0]
+        return None
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> CyclotomicNumber:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
+        if isinstance(other, CyclotomicNumber) and other.order == self.order:
+            return CyclotomicNumber(self.order, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        pair = self._scalar_pair(other)
+        if pair is None:
             return NotImplemented
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        number, q = pair
+        return CyclotomicNumber(number.order, (number.coeffs[0] + q,) + number.coeffs[1:])
 
     __radd__ = __add__
 
@@ -222,20 +231,22 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> CyclotomicNumber:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+            return self.__add__(-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> CyclotomicNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> CyclotomicNumber:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
+        if isinstance(other, CyclotomicNumber) and other.order == self.order:
+            prod = _poly_mul_frac(self.coeffs, other.coeffs)
+            return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(prod, self.order))
+        pair = self._scalar_pair(other)
+        if pair is None:
             return NotImplemented
-        prod = _poly_mul_frac(a.coeffs, b.coeffs)
-        return CyclotomicNumber(a.order, _reduce_mod_cyclotomic(prod, a.order))
+        number, q = pair
+        return CyclotomicNumber(number.order, tuple(c * q for c in number.coeffs))
 
     __rmul__ = __mul__
 
@@ -264,10 +275,11 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv, self.order))
 
     def __truediv__(self, other) -> CyclotomicNumber:
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a * b.inverse()
+        if isinstance(other, CyclotomicNumber):
+            return self.__mul__(other.inverse())
+        if isinstance(other, (int, Fraction)):
+            return self.__mul__(Fraction(1, other))
+        return NotImplemented
 
     def __rtruediv__(self, other) -> CyclotomicNumber:
         return self.inverse().__mul__(other)
@@ -285,16 +297,16 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        if self.order == other.order:
+        if isinstance(other, CyclotomicNumber) and other.order == self.order:
             return self.coeffs == other.coeffs
-        a, b = self._coerce(other)
-        return a.coeffs == b.coeffs
+        pair = self._scalar_pair(other)
+        if pair is None:
+            return NotImplemented
+        number, q = pair
+        return number.is_rational() and number.coeffs[0] == q
 
-    __hash__ = None  # type: ignore[assignment]  # cross-order equality; do not hash
+    # a number equals the Fraction of its value, and their hashes differ
+    __hash__ = None  # type: ignore[assignment]
 
     # -- numerics and serialization -----------------------------------------
 
@@ -347,7 +359,7 @@ def cyc_root(k: int, t: int) -> CyclotomicNumber:
 
 def _as_cyclotomic(value, order: int) -> CyclotomicNumber:
     if isinstance(value, CyclotomicNumber):
-        return value.promote(math.lcm(order, value.order))
+        return value
     return CyclotomicNumber.from_rational(value, order)
 
 
@@ -365,14 +377,10 @@ class PolynomialX:
 
     @staticmethod
     def from_coeffs(values: Sequence, order: int = 1) -> PolynomialX:
-        common = order
-        for v in values:
-            if isinstance(v, CyclotomicNumber):
-                common = math.lcm(common, v.order)
-        cs = [_as_cyclotomic(v, common) for v in values]
+        cs = [_as_cyclotomic(v, order) for v in values]
         while cs and cs[-1].is_zero():
             cs.pop()
-        return PolynomialX(common, tuple(cs))
+        return PolynomialX(order, tuple(cs))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -456,14 +464,9 @@ class TruncatedSeries:
 
     @staticmethod
     def from_coeffs(values: Sequence, trunc: int, order: int = 1) -> TruncatedSeries:
-        values = values[: trunc + 1]
-        common = order
-        for v in values:
-            if isinstance(v, CyclotomicNumber):
-                common = math.lcm(common, v.order)
-        cs = [_as_cyclotomic(v, common) for v in values]
-        cs += [CyclotomicNumber.zero(common)] * (trunc + 1 - len(cs))
-        return TruncatedSeries(trunc, common, tuple(cs))
+        cs = [_as_cyclotomic(v, order) for v in values[: trunc + 1]]
+        cs += [CyclotomicNumber.zero(order)] * (trunc + 1 - len(cs))
+        return TruncatedSeries(trunc, order, tuple(cs))
 
     @staticmethod
     def one(trunc: int, order: int = 1) -> TruncatedSeries:
@@ -480,30 +483,22 @@ class TruncatedSeries:
             power *= sq
         return TruncatedSeries.from_coeffs(coeffs, trunc, order)
 
-    def _coerce(self, other: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-        if self.trunc != other.trunc:
-            raise ValueError("truncation orders differ")
-        common = math.lcm(self.order, other.order)
-        a = TruncatedSeries(self.trunc, common, tuple(c.promote(common) for c in self.coeffs))
-        b = TruncatedSeries(other.trunc, common, tuple(c.promote(common) for c in other.coeffs))
-        return a, b
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        a, b = self._coerce(other)
-        out = [CyclotomicNumber.zero(a.order)] * (a.trunc + 1)
-        b_terms = [(j, bj) for j, bj in enumerate(b.coeffs) if not bj.is_zero()]
-        for i, ai in enumerate(a.coeffs):
+        if (self.trunc, self.order) != (other.trunc, other.order):
+            raise ValueError("series differ in truncation order or field")
+        out = [CyclotomicNumber.zero(self.order)] * (self.trunc + 1)
+        b_terms = [(j, bj) for j, bj in enumerate(other.coeffs) if not bj.is_zero()]
+        for i, ai in enumerate(self.coeffs):
             if ai.is_zero():
                 continue
             for j, bj in b_terms:
-                if i + j > a.trunc:
+                if i + j > self.trunc:
                     break
                 out[i + j] = out[i + j] + ai * bj
-        return TruncatedSeries(a.trunc, a.order, tuple(out))
+        return TruncatedSeries(self.trunc, self.order, tuple(out))
 
     def scale(self, factor) -> TruncatedSeries:
-        f = _as_cyclotomic(factor, self.order)
-        return TruncatedSeries(self.trunc, f.order, tuple(c.promote(f.order) * f for c in self.coeffs))
+        return TruncatedSeries(self.trunc, self.order, tuple(c * factor for c in self.coeffs))
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse through order ``trunc``.
@@ -532,13 +527,12 @@ class TruncatedSeries:
 
     def taylor_value(self, n: int) -> CyclotomicNumber:
         """n! times the z^n coefficient (the Taylor-convention value)."""
-        return self.coeffs[n] * Fraction(math.factorial(n))
+        return self.coeffs[n] * math.factorial(n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = self._coerce(other)
-        return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+        return self.trunc == other.trunc and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -555,6 +549,6 @@ def binomial_convolve(
     for m in range(min(len(left), len(right))):
         acc = CyclotomicNumber.zero(left[0].order)
         for i in range(m + 1):
-            acc = acc + left[i] * right[m - i] * Fraction(math.comb(m, i))
+            acc = acc + left[i] * right[m - i] * math.comb(m, i)
         out.append(acc)
     return out

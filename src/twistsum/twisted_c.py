@@ -208,7 +208,7 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
     # Periodic side, per weight a: (k w)/(zeta^{-a} e^{aw} - 1).
     periodic_prod = TruncatedSeries.one(trunc, k)
     for a in A:
-        numerator = TruncatedSeries.from_coeffs([0, Fraction(k)], trunc, k)
+        numerator = TruncatedSeries.from_coeffs([0, k], trunc, k)
         periodic_prod = periodic_prod * numerator * twisted_exp(cyc_root(k, -a), a).inverse()
 
     # Closed-form side, per weight a:
@@ -301,6 +301,6 @@ def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A) -> CyclotomicNumb
     for j, star in enumerate(_star_table(c_star, m, k, A, 1)):
         if star.is_zero():
             continue
-        term = star * Fraction((-k) ** j * math.comb(n, j)) * xq ** (n - j)
+        term = star * ((-k) ** j * math.comb(n, j)) * xq ** (n - j)
         total = total + term
     return total

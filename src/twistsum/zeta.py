@@ -60,6 +60,8 @@ class ZetaSpec:
     def __post_init__(self):
         if self.twist.k < 2:
             raise ValueError("twist modulus k must be at least 2")
+        if not (cmath.isfinite(self.s) and math.isfinite(self.x)):
+            raise ValueError("decay order s and shift x must be finite")
         if self.x < 0:
             raise ValueError("shift x must be nonnegative")
         if self.q is not None and self.q < 1:
@@ -274,6 +276,8 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int]) -> complex:
     r = len(spec.A)
     if len(N) != r:
         raise ValueError("limits and weights must have the same length")
+    if any(n < 0 for n in N):
+        raise ValueError("limits must be nonnegative")
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
     total = zeta_accelerated(spec)
@@ -404,8 +408,8 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
     points: list[tuple[float, float]] = []
     magnitudes: list[float] = []
     if target == "shift":
-        for x in scales:
-            probe_spec = spec.with_x(float(x))
+        probe_specs = [spec.with_x(float(x)) for x in scales]  # refuses a bad shift before any work
+        for x, probe_spec in zip(scales, probe_specs):
             reference = zeta_accelerated(probe_spec)
             err = abs(reference - zeta_asymptotic(probe_spec))
             points.append((float(x), err))

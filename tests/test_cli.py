@@ -204,6 +204,29 @@ class TestZetaCommand:
         assert abs(d - a) <= 1e-8 * abs(a)
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--method", "finite", "--s=-1.5", "--x", "10", "--k", "5", "--t", "2",
+                 "--weights", "1,3", "--q", "4", "--limits=-1,3"),
+                "limits must be nonnegative",
+            ),
+            (
+                ("--method", "direct", "--x", "1", "--s", "nan", "--k", "2", "--t", "1", "--weights", "1"),
+                "must be finite",
+            ),
+        ],
+    )
+    def test_invalid_input_exit_code(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "zeta", *argv)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError"
+        assert message in payload["error"]
+
+
 class TestProbeCommand:
     def test_shift_probe(self, capsys):
         obj = run_json(
@@ -215,6 +238,18 @@ class TestProbeCommand:
         assert obj["predicted"] == pytest.approx(-0.5)
         errs = [e for _, e in obj["points"]]
         assert errs == sorted(errs, reverse=True)
+
+    def test_infinite_scale_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "probe", "--target", "t4", "--scales", "10,20,inf",
+            "--s", "0.5", "--x", "10", "--k", "2", "--t", "1", "--weights", "1", "--q", "2",
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError"
+        assert "must be finite" in payload["error"]
 
 
 class TestVerifyCommand:

@@ -1,9 +1,11 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from twistsum import exact
 from twistsum.exact import (
     CyclotomicNumber,
     PolynomialX,
@@ -80,10 +82,54 @@ class TestCyclotomicNumber:
         assert inv == expected
         assert (one - z) * expected == F(1)
 
-    def test_mixed_order_promotion(self):
-        assert cyc_root(2, 1) == cyc_root(6, 3)
-        assert cyc_root(2, 1) * cyc_root(3, 1) == cyc_root(6, 5)
+    def test_one_field_per_value(self):
+        assert cyc_root(2, 1) == cyc_root(6, 3)  # both are -1
         assert cyc_root(4, 1) + cyc_root(4, 3) == F(0)
+        # irrational numbers of different orders do not combine
+        z3, z6 = cyc_root(3, 1), cyc_root(6, 1)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(z3, z6)
+            with pytest.raises(TypeError):
+                op(z6, z3)
+        assert z3 != z6 and z6 != z3
+        assert z3 != cyc_root(6, 2)  # the same complex number, held in another field
+
+    @pytest.mark.parametrize(
+        "q",
+        [3, F(-2, 5), CyclotomicNumber.from_rational(F(3, 4)), cyc_root(6, 3)],
+        ids=["int", "fraction", "order_1", "rational_order_6"],
+    )
+    def test_rationals_act_as_scalars(self, q):
+        z = cyc_root(7, 3)
+        c = [F(0), F(0), F(0), F(1), F(0), F(0)]  # z's coordinates
+        v = q if isinstance(q, (int, F)) else q.as_rational()
+        scaled = CyclotomicNumber(7, tuple(x * v for x in c))
+        shifted = CyclotomicNumber(7, (v,) + tuple(c[1:]))
+        assert z * q == scaled and q * z == scaled
+        assert z + q == shifted and q + z == shifted
+        assert z - q == CyclotomicNumber(7, (-v,) + tuple(c[1:]))
+        assert q - z == CyclotomicNumber(7, (v,) + tuple(-x for x in c[1:]))
+        assert z / q == CyclotomicNumber(7, tuple(x / v for x in c))
+        assert q / z == z.inverse() * v
+        for result in (z * q, q * z, z + q, q - z, z / q, q / z):
+            assert result.order == 7
+        assert z != q and q != z
+        assert CyclotomicNumber.from_rational(v, 7) == q and q == CyclotomicNumber.from_rational(v, 7)
+
+    def test_rational_scalars_skip_the_field_product(self, monkeypatch):
+        z = cyc_root(7, 3)
+        p = PolynomialX.from_coeffs([cyc_root(7, 1), F(1, 2), z], 7)
+        expected = cyc_root(7, 1) + F(5, 6) + z * F(25, 9)
+
+        def no_field_product(*args):
+            raise AssertionError("a rational operand went through the field product")
+
+        monkeypatch.setattr(exact, "_poly_mul_frac", no_field_product)
+        two_thirds_z = CyclotomicNumber(7, (F(0), F(0), F(0), F(2, 3), F(0), F(0)))
+        assert z * F(2, 3) == two_thirds_z
+        assert F(2, 3) * z == two_thirds_z
+        assert p.eval_exact(F(5, 3)) == expected
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

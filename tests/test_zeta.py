@@ -43,6 +43,14 @@ class TestZetaSpec:
         with pytest.raises(Exception):
             spec_of(1, 1, 2, 1, (2,))  # singular twist
 
+    @pytest.mark.parametrize(
+        "s, x",
+        [(math.nan, 1), (complex(2, math.inf), 1), (complex(math.nan, 1), 1), (2, math.inf), (2, math.nan)],
+    )
+    def test_non_finite_rejected(self, s, x):
+        with pytest.raises(ValueError, match="must be finite"):
+            spec_of(s, x, 2, 1, (1,))
+
 
 class TestDirect:
     def test_log2(self):
@@ -288,6 +296,14 @@ class TestFiniteSum:
         with pytest.raises(ValueError):
             finite_sum_asymptotic(spec_of(-2, 0, 2, 1, (1,)), (3, 4))
 
+    def test_negative_limits_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        with pytest.raises(ValueError, match="limits must be nonnegative"):
+            finite_sum_asymptotic(spec_of(-1.5, 10, 5, 2, (1, 3), q=4), (-1, 3))
+
     def test_small_limits_still_return_a_value(self):
         # accuracy degrades at tiny N but the formula stays defined
         spec = spec_of(0.5, 1.0, 2, 1, (1,), q=1)
@@ -325,3 +341,11 @@ class TestDecayProbe:
             decay_probe("shift", spec, [40, 20, 10])
         with pytest.raises(ValueError):
             decay_probe("bogus", spec, [10, 20, 40])
+
+    def test_infinite_shift_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        with pytest.raises(ValueError, match="must be finite"):
+            decay_probe("shift", spec_of(0.5, 10, 2, 1, (1,), q=2), [10, 20, math.inf])
