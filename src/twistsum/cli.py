@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="empirical decay-rate probe")
     p.add_argument("--target", choices=("t3", "t4"), required=True)
-    p.add_argument("--scales", required=True, help="comma-separated increasing scales")
+    p.add_argument("--scales", required=True, help="comma-separated positive, strictly increasing scales")
     p.add_argument("--s", required=True)
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--k", type=int, required=True)
@@ -304,19 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception) -> int:
+    """Print the JSON error object for ``exc`` on stderr; the exit code is 1."""
+    print(json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
     except Exception as exc:
-        payload = json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True)
-        print(payload, file=sys.stderr)
-        return 1
+        return _fail(exc)
     rendered = _render(result, args.text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            return _fail(exc)
     else:
         print(rendered)
     if args.command == "verify" and result["failures"]:

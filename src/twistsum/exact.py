@@ -11,10 +11,17 @@ assembled binomially from its numbers, its values at x = 0 (see
 :class:`PolynomialX` is a value that is read, compared and evaluated, and no
 series ever carries the variable x.
 
+A field product is the plain polynomial product of the two coordinate
+vectors, reduced modulo Phi_k through a cached table of the integer rows
+x^j mod Phi_k (Phi_k is monic with integer coefficients): each coefficient of
+degree j >= phi(k) is added into the low coordinates along its row.  Long
+division by Phi_k builds the cyclotomic polynomials and runs the field
+inverse; no product goes through it.
+
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
-state is the memoized tables of cyclotomic polynomials and of numeric roots
-of unity.
+state is the memoized tables of cyclotomic polynomials, of their reduction
+rows and of numeric roots of unity.
 
 Every value lives in one field Q(zeta_k), the field of its twist's modulus
 k, and no computation combines two cyclotomic fields.  Rationals are
@@ -128,14 +135,54 @@ def _cyclotomic_coeffs(k: int) -> tuple[Fraction, ...]:
     return tuple(quot)
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse integer rows of x^j mod Phi_k for phi(k) <= j, through max(2 phi(k) - 2, k - 1).
+
+    ``rows[j - phi]`` lists the pairs (i, c), c != 0, of x^j = sum c x^i
+    modulo Phi_k.  The rows reach 2 phi - 2, the degree of a product of two
+    reduced numbers, and k - 1, the degree of a raw sum over all k-th roots
+    (``cyc_root``, ``twisted_c._root_sum``).  Phi_k is monic with integer
+    coefficients, so x^{j+1} = x * x^j folds its top term back with integers.
+    """
+    top = _cyclotomic_coeffs(k)
+    phi = len(top) - 1
+    if any(c.denominator != 1 for c in top):
+        raise ArithmeticError(f"Phi_{k} has a non-integer coefficient")
+    fold = [-int(c) for c in top[:phi]]  # x^phi = -sum_{i<phi} Phi_k[i] x^i
+    rows = [fold]
+    for _ in range(phi + 1, max(2 * phi - 2, k - 1) + 1):
+        prev = rows[-1]
+        lead = prev[-1]
+        rows.append([lead * f + p for f, p in zip(fold, [0] + prev[:-1])])
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
 def _reduce_mod_cyclotomic(coeffs: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
+    """Canonical phi(k) coordinates of sum_j coeffs[j] x^j modulo Phi_k.
+
+    Each coefficient of degree j >= phi is added into the low coordinates
+    along the integer row x^j mod Phi_k of :func:`_reduction_rows`, so an
+    entry of +-1 costs one Fraction addition and no division is done.  The
+    input may have any length up to max(2 phi - 1, k).
+    """
     phi = euler_phi(k)
-    if len(_strip(coeffs)) <= phi:
-        out = list(coeffs) + [Fraction(0)] * phi
-        return tuple(out[:phi])
-    _, rem = _poly_divmod_frac(coeffs, _cyclotomic_coeffs(k))
-    rem = list(rem) + [Fraction(0)] * phi
-    return tuple(rem[:phi])
+    out = list(coeffs[:phi])
+    out += [Fraction(0)] * (phi - len(out))
+    if len(coeffs) > phi:
+        rows = _reduction_rows(k)
+        for j in range(phi, len(coeffs)):
+            c = coeffs[j]
+            if not c:
+                continue
+            for i, e in rows[j - phi]:
+                if e == 1:
+                    out[i] += c
+                elif e == -1:
+                    out[i] -= c
+                else:
+                    out[i] += e * c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import as_fraction, roots_of_unity
 from .twisted_c import _c_star_s_from_table, _star_table, c_star, pochhammer
@@ -403,8 +401,8 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
     """
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
-    if list(scales) != sorted(scales):
-        raise ValueError("scales must be increasing")
+    if not 0 < scales[0] or any(a >= b for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must be positive and strictly increasing")
     points: list[tuple[float, float]] = []
     magnitudes: list[float] = []
     if target == "shift":
@@ -428,6 +426,15 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
     predicted = spec.sigma().real - spec.effective_q() + 2
     if all(err <= _EXACT_FLOOR * (1.0 + mag) for (_, err), mag in zip(points, magnitudes)):
         return DecayReport(tuple(points), None, predicted, exact=True)
-    logs = np.log([max(err, 1e-300) for _, err in points])
-    slope = float(np.polyfit(np.log([s for s, _ in points]), logs, 1)[0])
-    return DecayReport(tuple(points), slope, predicted, exact=False)
+    return DecayReport(tuple(points), _loglog_slope(points), predicted, exact=False)
+
+
+def _loglog_slope(points: Sequence[tuple[float, float]]) -> float:
+    """Least-squares slope of log(err) against log(scale); errors are floored at 1e-300."""
+    xs = [math.log(s) for s, _ in points]
+    ys = [math.log(max(err, 1e-300)) for _, err in points]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    return sxy / sxx

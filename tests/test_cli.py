@@ -282,6 +282,19 @@ class TestOutputModes:
         assert out == ""
         assert json.loads(target.read_text())["closed"] == "3"
 
+    def test_unwritable_out_file_is_a_json_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "result.json"
+        code, out, err = run_cli(
+            capsys,
+            "--out", str(target),
+            "sum", "--weights", "1", "--limits", "1", "--s", "1", "--k", "2", "--t", "1",
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["type"] == "FileNotFoundError"
+        assert str(target) in payload["error"]
+
     def test_text_mode(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -9,6 +9,8 @@ import pytest
 
 from twistsum.bernoulli_euler import SingularTwistError
 from twistsum.euler_maclaurin import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     SmoothFunction,
     check_derivative_consistency,
     em_sum_scaled,
@@ -62,6 +64,12 @@ class TestQuadRemainder:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
             quad_remainder(1, 2, 1, lambda x: 1.0, 1.0, 0.0)
+
+
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert _GL_NODES == nodes.tolist()
+    assert _GL_WEIGHTS == weights.tolist()
 
 
 def naive_quad_remainder(q, k, a, f_q, lo, hi):

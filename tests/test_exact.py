@@ -12,6 +12,8 @@ from twistsum.exact import (
     TruncatedSeries,
     _cyclotomic_coeffs,
     _poly_divmod_frac,
+    _reduce_mod_cyclotomic,
+    _reduction_rows,
     cyc_root,
     cyclotomic_polynomial,
     euler_phi,
@@ -55,6 +57,55 @@ class TestCyclotomicPolynomial:
     def test_degree_is_totient(self):
         for k in (1, 2, 6, 9, 10, 30):
             assert cyclotomic_polynomial(k).degree() == euler_phi(k)
+
+
+def division_remainder(coeffs, k):
+    """The phi(k) coordinates of coeffs mod Phi_k, by long division."""
+    _, rem = _poly_divmod_frac(coeffs, _cyclotomic_coeffs(k))
+    return tuple(rem) + (F(0),) * (euler_phi(k) - len(rem))
+
+
+class TestReductionTable:
+    def test_rows_are_division_remainders(self):
+        for k in range(1, 61):
+            phi = euler_phi(k)
+            rows = _reduction_rows(k)
+            assert phi + len(rows) - 1 >= max(2 * phi - 2, k - 1), k
+            for j, row in enumerate(rows, start=phi):
+                dense = [0] * phi
+                for i, c in row:
+                    assert c != 0 and isinstance(c, int)
+                    dense[i] = c
+                assert tuple(dense) == division_remainder([F(0)] * j + [F(1)], k), (k, j)
+
+    def test_random_vectors_reduce_as_by_division(self):
+        rng = random.Random(17)
+        for k in range(1, 41):
+            phi = euler_phi(k)
+            for length in sorted({1, phi, phi + 1, 2 * phi - 1, k, max(2 * phi - 1, k)}):
+                coeffs = [
+                    F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else F(0)
+                    for _ in range(length)
+                ]
+                assert _reduce_mod_cyclotomic(coeffs, k) == division_remainder(coeffs, k), (k, length)
+
+    def test_products_and_roots_do_not_divide(self, monkeypatch):
+        from twistsum.twisted_c import CPolySpec, c_poly
+
+        expected_product = cyc_root(7, 3) * cyc_root(7, 5)
+        expected_root = cyc_root(12, 11)
+        expected_poly = c_poly(CPolySpec(9, 12, 5))
+        for k in (7, 12):
+            _cyclotomic_coeffs(k)
+            _reduction_rows(k)
+
+        def no_division(*args):
+            raise AssertionError("a product was reduced by long division")
+
+        monkeypatch.setattr(exact, "_poly_divmod_frac", no_division)
+        assert cyc_root(7, 3) * cyc_root(7, 5) == expected_product == cyc_root(7, 1)
+        assert cyc_root(12, 11) == expected_root
+        assert c_poly(CPolySpec(9, 12, 5)) == expected_poly
 
 
 class TestCyclotomicNumber:

@@ -333,6 +333,18 @@ class TestDecayProbe:
         report = decay_probe("limits", spec, [8, 16, 32])
         assert report.monotone_decreasing
 
+    def test_slope_matches_polyfit(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(11)
+        for _ in range(50):
+            scales = sorted(rng.sample(range(2, 500), rng.randint(3, 8)))
+            points = [(float(s), rng.uniform(0.0, 2.0) * s ** rng.uniform(-6, 2)) for s in scales]
+            points[0] = (points[0][0], 0.0)  # floored at 1e-300
+            expected = np.polyfit(
+                np.log([s for s, _ in points]), np.log([max(e, 1e-300) for _, e in points]), 1
+            )[0]
+            assert abs(zeta_mod._loglog_slope(points) - expected) <= 1e-12 * max(1.0, abs(expected))
+
     def test_scale_validation(self):
         spec = spec_of(0.5, 10, 2, 1, (1,))
         with pytest.raises(ValueError):
@@ -341,6 +353,18 @@ class TestDecayProbe:
             decay_probe("shift", spec, [40, 20, 10])
         with pytest.raises(ValueError):
             decay_probe("bogus", spec, [10, 20, 40])
+
+    def test_repeated_or_zero_scale_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        monkeypatch.setattr(zeta_mod, "finite_sum_direct", no_work)
+        spec = spec_of(0.5, 10, 2, 1, (1,))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            decay_probe("shift", spec, [20, 20, 40])
+        with pytest.raises(ValueError, match="positive"):
+            decay_probe("limits", spec, [0, 8, 16])
 
     def test_infinite_shift_rejected_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
