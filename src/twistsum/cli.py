@@ -5,13 +5,14 @@ switches to a line-oriented rendering).  Exact values are always serialized
 as strings ("p/q", or the {"k", "coeffs"} object for irrational cyclotomic
 values) so precision is never silently lost; numeric values are {"re", "im"}
 doubles.  Exit codes: 0 success, 1 computational error (with a JSON error
-object), 2 usage error.
+object; a non-finite float in a result is one), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,9 +57,23 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex number from {text!r}")
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of ``--tol`` and ``TWISTSUM_TOL``: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below with the same message as inf or nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def _render(obj: dict, text_mode: bool) -> str:
+    """JSON or line rendering of ``obj``; a non-finite float raises ValueError
+    in either mode, because JSON has no token for it."""
+    encoded = json.dumps(obj, sort_keys=True, allow_nan=False)
     if not text_mode:
-        return json.dumps(obj, sort_keys=True)
+        return encoded
     lines = []
 
     def walk(prefix: str, value) -> None:
@@ -185,7 +200,7 @@ def _cmd_zeta(args) -> dict:
     else:  # finite: the inclusion-exclusion approximation of a finite box sum
         if args.limits is None:
             raise ValueError("--limits is required for --method finite")
-        value = finite_sum_asymptotic(spec, args.limits)
+        value = finite_sum_asymptotic(spec, args.limits, tol=args.tol)
     return {"method": args.method, "value": _ser_complex(value)}
 
 
@@ -199,7 +214,7 @@ def _cmd_probe(args) -> dict:
         args.q,
     )
     scales = [float(v) if target == "shift" else int(v) for v in args.scales.split(",")]
-    report = decay_probe(target, spec, scales)
+    report = decay_probe(target, spec, scales, tol=args.tol)
     return report.to_json_obj()
 
 
@@ -228,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=os.environ.get("TWISTSUM_TOL", "1e-10"),
         help="numeric tolerance for accelerated evaluations (env TWISTSUM_TOL)",
     )
@@ -315,9 +330,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
+        rendered = _render(result, args.text)
     except Exception as exc:
         return _fail(exc)
-    rendered = _render(result, args.text)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

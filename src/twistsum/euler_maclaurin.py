@@ -83,7 +83,9 @@ class SmoothFunction:
 
     @staticmethod
     def exponential(alpha: float, orders: int = 12) -> SmoothFunction:
-        """f(x) = e^{alpha x} with derivatives alpha^l e^{alpha x}."""
+        """f(x) = e^{alpha x} with derivatives alpha^l e^{alpha x}; alpha must be finite."""
+        if not math.isfinite(alpha):
+            raise ValueError(f"exponential rate alpha must be finite, got {alpha!r}")
         return SmoothFunction(
             tuple(
                 (lambda x, _l=l: complex(alpha**_l * math.exp(alpha * x)))

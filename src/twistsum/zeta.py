@@ -148,6 +148,11 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
 # iterated twist-weighted Euler transformation
 # ---------------------------------------------------------------------------
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def _accelerate(
     terms: Sequence[complex], w: complex, tol: float
 ) -> tuple[complex, float, bool]:
@@ -155,11 +160,17 @@ def _accelerate(
 
     One pass maps partial sums S_i -> (S_{i+1} - w S_i)/(1 - w), which kills
     one polynomial order of the oscillating residue w^{i} rho(i); iterating
-    yields the Abel/analytic value.  Convergence is declared when successive
-    pass values stop moving relative to the tolerance -- or relative to the
-    rounding-noise floor of the largest intermediate partial sum, which is
-    the resolution limit for divergent-polynomial inputs whose partial sums
-    dwarf the limit.  Returns (value, achieved, converged).
+    yields the Abel/analytic value.  Only the last entry S^(p)_{n-1-p} of each
+    pass p is read, and it depends only on the last p + 1 partial sums, so the
+    passes are built from the tail: walking the partial sums backwards, a
+    column keeps the latest entry of every pass, and the step at S_{n-1-p}
+    yields pass p's last value.  Pass p thus costs p products, O(n + P^2) in
+    all for P passes, with the same float operations as building every pass
+    in full.  Convergence is declared when successive pass values stop moving
+    relative to the tolerance -- or relative to the rounding-noise floor of
+    the largest partial sum, which is the resolution limit for
+    divergent-polynomial inputs whose partial sums dwarf the limit.  Returns
+    (value, achieved, converged).
     """
     sums: list[complex] = []
     acc = 0j
@@ -171,9 +182,13 @@ def _accelerate(
     prev = None
     stable = 0
     denom = 1.0 - w
-    while len(sums) > 1:
-        sums = [(sums[i + 1] - w * sums[i]) / denom for i in range(len(sums) - 1)]
-        value = sums[-1]
+    column = [sums[-1]]  # column[p]: the latest entry built of pass p
+    for j in range(len(sums) - 2, -1, -1):
+        value = sums[j]
+        for p, later in enumerate(column):
+            column[p] = value
+            value = (later - w * value) / denom
+        column.append(value)
         if prev is not None:
             delta = abs(value - prev)
             if delta < best_delta:
@@ -196,8 +211,13 @@ def zeta_accelerated(
     Re(s) may be nonpositive; polynomially growing blocked terms are the
     classical convergence regime of the transformation.  For r >= 2 the axes
     are accelerated one at a time, innermost first.  Raises
-    :class:`AccelerationError` if the requested tolerance is not reached.
+    :class:`AccelerationError` if the requested tolerance is not reached,
+    and ValueError before any work unless ``tol`` is finite and positive and
+    ``terms_per_axis`` leaves at least one pass (two terms).
     """
+    _require_tol(tol)
+    if terms_per_axis < 2:
+        raise ValueError("terms_per_axis must be at least 2")
     k = spec.twist.k
     weights = spec.A.entries
     r = len(weights)
@@ -262,14 +282,15 @@ def _main_term(spec: ZetaSpec, x: float, stars: list) -> complex:
     return prefactor * _c_star_s_from_table(sigma + r, k, arg, stars)
 
 
-def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int]) -> complex:
+def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) -> complex:
     """Approximate sum_{M <= N} (A.M + x)^sigma zeta^{t A.M} for sigma = -s.
 
     Inclusion-exclusion over corner subsets: each nonempty subset S
     contributes (-1)^{|S|} zeta^{t A_S.(N_S+1)} times the asymptotic main
     term at shift x + A_S.(N_S+1); the empty subset contributes the
-    accelerated continuation Z(s, x).  Everything is scaled by 1/2^r.  The
-    main terms differ only in their shift, so they share one star table.
+    accelerated continuation Z(s, x) to tolerance ``tol``.  Everything is
+    scaled by 1/2^r.  The main terms differ only in their shift, so they
+    share one star table.
     """
     r = len(spec.A)
     if len(N) != r:
@@ -278,7 +299,7 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int]) -> complex:
         raise ValueError("limits must be nonnegative")
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
-    total = zeta_accelerated(spec)
+    total = zeta_accelerated(spec, tol=tol)
     stars = _stars(spec)
     for indices, shift, sign in spec.A.corners(N):
         if indices:
@@ -391,14 +412,16 @@ class DecayReport:
 _EXACT_FLOOR = 1e-12
 
 
-def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
+def decay_probe(target: str, spec: ZetaSpec, scales: Sequence, tol: float = 1e-10) -> DecayReport:
     """Measure abs_error at each scale and fit the log-log slope.
 
     ``target="shift"`` varies the shift x over ``scales`` and compares
     ``zeta_asymptotic`` with ``zeta_accelerated``; ``target="limits"``
     varies the limits N uniformly over all axes and compares
-    ``finite_sum_asymptotic`` with the exact finite sum.
+    ``finite_sum_asymptotic`` with the exact finite sum.  Both evaluate the
+    accelerated continuation to tolerance ``tol``.
     """
+    _require_tol(tol)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
     if not 0 < scales[0] or any(a >= b for a, b in zip(scales, scales[1:])):
@@ -408,7 +431,7 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
     if target == "shift":
         probe_specs = [spec.with_x(float(x)) for x in scales]  # refuses a bad shift before any work
         for x, probe_spec in zip(scales, probe_specs):
-            reference = zeta_accelerated(probe_spec)
+            reference = zeta_accelerated(probe_spec, tol=tol)
             err = abs(reference - zeta_asymptotic(probe_spec))
             points.append((float(x), err))
             magnitudes.append(abs(reference))
@@ -417,7 +440,7 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence) -> DecayReport:
         for n in scales:
             N = (int(n),) * r
             reference = finite_sum_direct(spec, N)
-            err = abs(finite_sum_asymptotic(spec, N) - reference)
+            err = abs(finite_sum_asymptotic(spec, N, tol=tol) - reference)
             points.append((float(n), err))
             magnitudes.append(abs(reference))
     else:

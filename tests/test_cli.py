@@ -5,6 +5,7 @@ import pytest
 
 from twistsum.cli import build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
+from twistsum.zeta import ZetaSpec, finite_sum_asymptotic
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,26 @@ GOLDEN_C_TILDE_9_7_3 = (
 
 
 class TestEmSumCommand:
+    def test_non_finite_rate_is_a_json_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "em-sum", "--preset", "exp:nan", "--m", "0", "--n", "3", "--k", "3", "--a", "1", "--q", "2"
+        )
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError"
+        assert "must be finite" in payload["error"]
+
+    @pytest.mark.parametrize("mode", [(), ("--text",)])
+    def test_overflowing_result_is_a_json_error(self, capsys, mode):
+        # e^{235 x} stays finite but its derivative sums overflow to inf and NaN
+        code, out, err = run_cli(
+            capsys, *mode, "em-sum", "--preset", "exp:235", "--m", "0", "--n", "3", "--k", "3", "--a", "1", "--q", "2"
+        )
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError"
+        assert "not JSON compliant" in payload["error"]
+
     def test_quadratic_example(self, capsys):
         obj = run_json(
             capsys,
@@ -227,6 +248,43 @@ class TestZetaCommand:
         assert message in payload["error"]
 
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("--method", "accel", "--s", "0.5", "--x", "1", "--k", "3", "--t", "1", "--weights", "1"),
+                '{"method": "accel", "value": {"im": 0.5093841392327546, "re": 1.2558281853009237}}\n',
+            ),
+            (
+                ("--method", "accel", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2", "--weights", "1,3"),
+                '{"method": "accel", "value": {"im": -7.983607196825761, "re": -4.7003644834990785}}\n',
+            ),
+            (
+                ("--method", "accel", "--s", "0.75", "--x", "1.5", "--k", "3", "--t", "1", "--weights", "1,1,1"),
+                '{"method": "accel", "value": {"im": 1.6471549331504556, "re": 0.9855822664535654}}\n',
+            ),
+            (
+                ("--method", "finite", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2",
+                 "--weights", "1,3", "--q", "4", "--limits", "30,30"),
+                '{"method": "finite", "value": {"im": -743.3053209395772, "re": 579.6614750530108}}\n',
+            ),
+        ],
+    )
+    def test_golden_continuation_output(self, capsys, argv, expected):
+        # pins the continuation bit for bit: a faster Euler transformation must not move it
+        code, out, _ = run_cli(capsys, "zeta", *argv)
+        assert (code, out) == (0, expected)
+
+    def test_finite_method_honours_tolerance(self, capsys):
+        argv = ("zeta", "--method", "finite", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2",
+                "--weights", "1,3", "--q", "4", "--limits", "30,30")
+        loose = run_json(capsys, "--tol", "1e-2", *argv)["value"]
+        tight = run_json(capsys, "--tol", "1e-10", *argv)["value"]
+        expected = finite_sum_asymptotic(ZetaSpec.of(-1.5, 0.5, 5, 2, (1, 3), 4), (30, 30), tol=1e-2)
+        assert complex(loose["re"], loose["im"]) == expected
+        assert loose != tight
+
+
 class TestProbeCommand:
     def test_shift_probe(self, capsys):
         obj = run_json(
@@ -238,6 +296,24 @@ class TestProbeCommand:
         assert obj["predicted"] == pytest.approx(-0.5)
         errs = [e for _, e in obj["points"]]
         assert errs == sorted(errs, reverse=True)
+
+    def test_golden_shift_probe_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "probe", "--target", "t4", "--scales", "5,10,20,40",
+            "--s=-0.5", "--k", "4", "--t", "1", "--weights", "1,2", "--q", "3",
+        )
+        assert code == 0
+        assert out == (
+            '{"exact": false, "fitted": -2.060303257668344, "monotone_decreasing": true, '
+            '"points": [[5.0, 0.09360713610592415], [10.0, 0.015348051038086636], '
+            '[20.0, 0.00403947514427136], [40.0, 0.0012507623142883446]], "predicted": -0.5}\n'
+        )
+
+    def test_shift_probe_honours_tolerance(self, capsys):
+        argv = ("probe", "--target", "t4", "--scales", "5,10,20,40",
+                "--s=-0.5", "--k", "4", "--t", "1", "--weights", "1,2", "--q", "3")
+        assert run_json(capsys, "--tol", "1e-2", *argv) != run_json(capsys, *argv)
 
     def test_infinite_scale_rejected(self, capsys):
         code, out, err = run_cli(
@@ -313,6 +389,16 @@ class TestToleranceEnvironment:
             main(["zeta", "--s", "2", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-10"])
+    def test_non_finite_or_nonpositive_tolerance_is_a_usage_error(self, monkeypatch, capsys, value):
+        argv = ["zeta", "--s", "0.5", "--x", "1", "--k", "3", "--t", "1", "--weights", "1,2"]
+        for env, flag in ((value, []), ("1e-10", ["--tol", value])):
+            monkeypatch.setenv("TWISTSUM_TOL", env)
+            with pytest.raises(SystemExit) as exc:
+                main(flag + argv)
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
 
     def test_env_tolerance_is_the_default(self, monkeypatch):
         monkeypatch.setenv("TWISTSUM_TOL", "1e-6")

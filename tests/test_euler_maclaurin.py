@@ -35,6 +35,11 @@ class TestSmoothFunction:
         g = SmoothFunction.exponential(0.5)
         assert g.deriv(2)(1.0) == pytest.approx(0.25 * math.exp(0.5))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponential_rate_rejected(self, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            SmoothFunction.exponential(alpha)
+
     def test_rescaled(self):
         g = SmoothFunction.from_poly_coeffs([0, 0, 1])
         f = g.rescaled(3)

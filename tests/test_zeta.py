@@ -9,6 +9,7 @@ import pytest
 
 from twistsum.bernoulli_euler import TwistSpec, gen_euler_poly
 from twistsum import zeta as zeta_mod
+from twistsum.exact import roots_of_unity
 from twistsum.powersum import SumSpec, closed_sum
 from twistsum.zeta import (
     AccelerationError,
@@ -154,6 +155,26 @@ class TestAccelerated:
         exact = gen_euler_poly(1, TwistSpec(3, 1), (1, 2)).eval_exact(F(2)).embed()
         assert abs(zeta_accelerated(spec) - exact) < 1e-8
 
+    @pytest.mark.parametrize(
+        "tol, terms, message",
+        [
+            (0.0, 56, "tolerance"),
+            (-1e-10, 56, "tolerance"),
+            (math.inf, 56, "tolerance"),
+            (math.nan, 56, "tolerance"),
+            (1e-10, 0, "terms_per_axis"),
+            (1e-10, 1, "terms_per_axis"),
+        ],
+    )
+    def test_bad_tolerance_or_terms_rejected_before_any_work(self, monkeypatch, tol, terms, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "_term_power", no_work)
+        monkeypatch.setattr(zeta_mod, "_accelerate", no_work)
+        with pytest.raises(ValueError, match=message):
+            zeta_accelerated(spec_of(0.5, 1, 3, 1, (1, 2)), tol=tol, terms_per_axis=terms)
+
     def test_failure_carries_diagnostics(self):
         with pytest.raises(AccelerationError) as info:
             zeta_accelerated(spec_of(0.25, 1, 6, 1, (1,)), tol=1e-10, terms_per_axis=10)
@@ -185,6 +206,89 @@ class TestAccelerated:
         z = complex(mpmath.exp(2j * mpmath.pi * t * a / k))
         reference = 2 * a ** (-s) * complex(mpmath.lerchphi(z, s, x / a))
         assert abs(mine - reference) < 1e-8
+
+
+def accelerate_by_passes(terms, w, tol):
+    """The Euler transformation with every pass built in full: the reference
+    that ``_accelerate`` must match bit for bit."""
+    sums = []
+    acc = 0j
+    for t in terms:
+        acc += t
+        sums.append(acc)
+    noise_floor = 4.0 * math.ulp(1.0) * max(abs(s) for s in sums)
+    best, best_delta = sums[-1], math.inf
+    prev = None
+    stable = 0
+    denom = 1.0 - w
+    while len(sums) > 1:
+        sums = [(sums[i + 1] - w * sums[i]) / denom for i in range(len(sums) - 1)]
+        value = sums[-1]
+        if prev is not None:
+            delta = abs(value - prev)
+            if delta < best_delta:
+                best, best_delta = value, delta
+            if delta <= max(tol * (1.0 + abs(value)), noise_floor):
+                stable += 1
+                if stable >= 2:
+                    return value, delta, True
+            else:
+                stable = 0
+        prev = value
+    return best, best_delta, False
+
+
+class CountingRoot(complex):
+    """A root of unity that counts the products it takes part in as left operand."""
+
+    def __mul__(self, other):
+        self.products += 1
+        return complex.__mul__(self, other)
+
+
+class TestTailBuiltTransform:
+    def test_matches_full_passes_bit_for_bit(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for n in range(1, 71):
+            for kind in ("converging", "stalling", "noise floor"):
+                k = rng.randint(2, 9)
+                a = rng.randrange(1, k)
+                roots = roots_of_unity(k)
+                x = rng.uniform(0.25, 3.0)
+                tol = 10.0 ** -rng.uniform(4, 14)
+                if kind == "converging":
+                    s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+                    g = [(i + x) ** -s for i in range(n)]
+                elif kind == "stalling":
+                    g = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                else:  # polynomial growth whose partial sums dwarf the limit
+                    degree = rng.randint(1, 8)
+                    g = [(i + x) ** degree for i in range(n)]
+                    tol = 1e-14
+                terms = [roots[a * i % k] * gi for i, gi in enumerate(g)]
+                got = zeta_mod._accelerate(terms, roots[a], tol)
+                assert repr(got) == repr(accelerate_by_passes(terms, roots[a], tol)), (n, kind, k, a)
+                value, delta, converged = got
+                if not converged:
+                    outcomes.add("stalled")
+                elif delta <= tol * (1.0 + abs(value)):
+                    outcomes.add("tolerance")
+                else:
+                    outcomes.add("noise floor")
+        assert outcomes == {"stalled", "tolerance", "noise floor"}
+
+    def test_pass_p_costs_p_products(self):
+        # quadratic growth: three passes annihilate it, two more confirm
+        roots = roots_of_unity(3)
+        terms = [roots[i % 3] * (i + 0.5) ** 2 for i in range(56)]
+        tail, full = CountingRoot(roots[1]), CountingRoot(roots[1])
+        tail.products = full.products = 0
+        assert zeta_mod._accelerate(terms, tail, 1e-10)[2]
+        assert accelerate_by_passes(terms, full, 1e-10)[2]
+        passes = 5
+        assert full.products == sum(56 - p for p in range(1, passes + 1))
+        assert tail.products <= passes * (passes + 1) // 2
 
 
 class TestContinuationBridge:
@@ -304,6 +408,21 @@ class TestFiniteSum:
         with pytest.raises(ValueError, match="limits must be nonnegative"):
             finite_sum_asymptotic(spec_of(-1.5, 10, 5, 2, (1, 3), q=4), (-1, 3))
 
+    def test_tolerance_reaches_the_continuation(self, monkeypatch):
+        seen = []
+        accelerated = zeta_mod.zeta_accelerated
+
+        def recording(spec, tol=1e-10, **kwargs):
+            seen.append(tol)
+            return accelerated(spec, tol=tol, **kwargs)
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", recording)
+        spec = spec_of(-1.5, 0.5, 5, 2, (1, 3), q=4)
+        finite_sum_asymptotic(spec, (30, 30), tol=1e-3)
+        decay_probe("limits", spec, [8, 16, 32], tol=1e-4)
+        decay_probe("shift", spec.with_x(10), [10, 20, 40], tol=1e-5)
+        assert seen == [1e-3] + [1e-4] * 3 + [1e-5] * 3
+
     def test_small_limits_still_return_a_value(self):
         # accuracy degrades at tiny N but the formula stays defined
         spec = spec_of(0.5, 1.0, 2, 1, (1,), q=1)
@@ -365,6 +484,17 @@ class TestDecayProbe:
             decay_probe("shift", spec, [20, 20, 40])
         with pytest.raises(ValueError, match="positive"):
             decay_probe("limits", spec, [0, 8, 16])
+
+    def test_bad_tolerance_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        monkeypatch.setattr(zeta_mod, "finite_sum_direct", no_work)
+        spec = spec_of(0.5, 10, 2, 1, (1,), q=2)
+        for target in ("shift", "limits"):
+            with pytest.raises(ValueError, match="tolerance"):
+                decay_probe(target, spec, [10, 20, 40], tol=math.nan)
 
     def test_infinite_shift_rejected_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
