@@ -147,7 +147,7 @@ def _cmd_euler_gen(args) -> dict:
 def _cmd_c_values(args) -> dict:
     out: dict = {}
     numeric = args.numeric
-    if args.multi:
+    if args.multi is not None:
         value = c_star_multi(args.n, args.k, args.multi)
         out["c_star_multi"] = _ser_complex(value.embed()) if numeric else _ser_exact(value)
         return out

@@ -27,9 +27,10 @@ against the predicted exponent Re(sigma) - q + 2.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import as_fraction, roots_of_unity
@@ -172,12 +173,8 @@ def _accelerate(
     divergent-polynomial inputs whose partial sums dwarf the limit.  Returns
     (value, achieved, converged).
     """
-    sums: list[complex] = []
-    acc = 0j
-    for t in terms:
-        acc += t
-        sums.append(acc)
-    noise_floor = 4.0 * math.ulp(1.0) * max(abs(s) for s in sums)
+    sums = list(itertools.accumulate(terms, initial=0j))[1:]
+    noise_floor = 4.0 * math.ulp(1.0) * max(map(abs, sums))
     best, best_delta = sums[-1], math.inf
     prev = None
     stable = 0
@@ -210,10 +207,19 @@ def zeta_accelerated(
 
     Re(s) may be nonpositive; polynomially growing blocked terms are the
     classical convergence regime of the transformation.  For r >= 2 the axes
-    are accelerated one at a time, innermost first.  Raises
-    :class:`AccelerationError` if the requested tolerance is not reached,
-    and ValueError before any work unless ``tol`` is finite and positive and
-    ``terms_per_axis`` leaves at least one pass (two terms).
+    are accelerated one at a time, innermost first, each inner axis to a
+    tenth of the tolerance of the axis around it.  At a real non-integer
+    order with a positive shift the innermost terms take float powers, which
+    give bit for bit the values of the complex power; integer and complex
+    orders, and the terms at shift 0, take the complex power.
+
+    An axis counts as converged when two successive pass values stay within
+    its tolerance, or within the rounding-noise floor of its largest partial
+    sum; that floor can lie above ``tol``, so a returned value is not always
+    within ``tol``.  Raises :class:`AccelerationError` with the best estimate
+    when an axis meets neither, and ValueError before any work unless ``tol``
+    is finite and positive and ``terms_per_axis`` leaves at least one pass
+    (two terms).
     """
     _require_tol(tol)
     if terms_per_axis < 2:
@@ -222,16 +228,32 @@ def zeta_accelerated(
     weights = spec.A.entries
     r = len(weights)
     tables = [_axis_roots(k, spec.twist.t * a) for a in weights]
+    power = -spec.s
+    # For b > 0 and real non-integer p, complex(b) ** complex(p, 0) is
+    # (b ** p, +-0.0): hypot(b, 0) = b and atan2(0, b) = 0.  Integer p is left
+    # to the complex power, which CPython takes by repeated squaring.
+    real_power = power.real if power.imag == 0 and not power.real.is_integer() else None
+
+    def innermost_terms(a: int, table: list[complex], shift: float) -> list[complex]:
+        if real_power is not None and shift > 0:
+            try:
+                return [table[n % k] * (shift + a * n) ** real_power for n in range(terms_per_axis)]
+            except OverflowError:
+                pass  # the complex power below raises it with its own message
+        return [table[n % k] * _term_power(shift + a * n, power) for n in range(terms_per_axis)]
 
     def axis_value(level: int, shift: float, level_tol: float) -> complex:
         a = weights[level]
         table = tables[level]
         w = table[1]  # the per-index weight zeta^{t a}
         if level == 0:
-            g: Callable[[int], complex] = lambda n: _term_power(shift + a * n, -spec.s)
+            terms = innermost_terms(a, table, shift)
         else:
-            g = lambda n: axis_value(level - 1, shift + a * n, level_tol / 10.0)
-        terms = [table[n % k] * g(n) for n in range(terms_per_axis)]
+            inner_tol = level_tol / 10.0
+            terms = [
+                table[n % k] * axis_value(level - 1, shift + a * n, inner_tol)
+                for n in range(terms_per_axis)
+            ]
         value, achieved, converged = _accelerate(terms, w, level_tol)
         if not converged:
             raise AccelerationError(

@@ -101,6 +101,14 @@ class TestCValuesCommand:
         obj = run_json(capsys, "c-values", "--n", "2", "--k", "2", "--multi", "1,1")
         assert obj["c_star_multi"] == "1/2"
 
+    def test_empty_multi_reports_the_empty_weight_vector(self, capsys):
+        code, out, err = run_cli(capsys, "c-values", "--n", "2", "--k", "2", "--multi", ",")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "weight vector must have at least one entry",
+            "type": "ValueError",
+        }
+
     def test_numeric_mode(self, capsys):
         obj = run_json(capsys, "c-values", "--n", "1", "--k", "3", "--a", "1", "--star", "--numeric")
         assert obj["c_star"]["re"] == pytest.approx(-0.5)

@@ -291,6 +291,119 @@ class TestTailBuiltTransform:
         assert tail.products <= passes * (passes + 1) // 2
 
 
+def accelerated_by_term_power(spec, tol=1e-10, terms_per_axis=56):
+    """The nested transformation with every innermost term through
+    ``_term_power`` and every pass built in full: the reference that
+    ``zeta_accelerated`` must match bit for bit, raised errors included."""
+    k, t = spec.twist.k, spec.twist.t
+    weights = spec.A.entries
+    tables = [[roots_of_unity(k)[t * a * n % k] for n in range(k)] for a in weights]
+
+    def axis_value(level, shift, level_tol):
+        a, table = weights[level], tables[level]
+        if level == 0:
+            g = lambda n: zeta_mod._term_power(shift + a * n, -spec.s)
+        else:
+            g = lambda n: axis_value(level - 1, shift + a * n, level_tol / 10.0)
+        terms = [table[n % k] * g(n) for n in range(terms_per_axis)]
+        value, achieved, converged = accelerate_by_passes(terms, table[1], level_tol)
+        if not converged:
+            raise AccelerationError(
+                f"acceleration stalled at tolerance {achieved:.3e} (requested {level_tol:.3e})",
+                best_estimate=value,
+                achieved_tol=achieved,
+            )
+        return value
+
+    return 2 ** len(weights) * axis_value(len(weights) - 1, spec.x, tol)
+
+
+def outcome(evaluate, spec, **kwargs):
+    try:
+        return repr(evaluate(spec, **kwargs))
+    except (ArithmeticError, AccelerationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+REAL_NON_INTEGER_ORDERS = (1.5, 0.75, 2.25, -0.5, -1.25, -2.75)
+INTEGER_ORDERS = (2, 1, 0, -1, -3)
+
+
+class TestFloatPowers:
+    @staticmethod
+    def seeded_cases():
+        rng = random.Random(808)
+        orders = REAL_NON_INTEGER_ORDERS + INTEGER_ORDERS + (0.5 + 1j,)
+        for r in (1, 2, 3):
+            for _ in range({1: 100, 2: 80, 3: 60}[r]):
+                k = rng.randint(2, 6)
+                t = rng.randrange(1, k)
+                weights = [a for a in range(1, 6) if (t * a) % k]
+                A = tuple(rng.choice(weights) for _ in range(r))
+                x = rng.choice((0.0, 0.5, 1.0, 7 / 3, 10.0))
+                terms = rng.randint(*{1: (8, 56), 2: (8, 40), 3: (12, 28)}[r])
+                tol = 10.0 ** -rng.uniform(4, 12)
+                yield spec_of(rng.choice(orders), x, k, t, A), tol, terms
+        # the known wrong answer and the known stall at integer orders
+        yield spec_of(-8, 1, 2, 1, (1,)), 1e-10, 56
+        yield spec_of(-5, 1, 3, 1, (1, 2)), 1e-10, 23
+        # float and complex powers overflow alike; the error is the complex power's
+        yield spec_of(-200.5, 1, 2, 1, (1,)), 1e-10, 56
+        yield spec_of(200.5, 1e-3, 3, 1, (1, 2)), 1e-10, 8
+
+    def test_matches_the_complex_power_bit_for_bit(self):
+        kinds, float_power_values = set(), set()
+        for spec, tol, terms in self.seeded_cases():
+            got = outcome(zeta_accelerated, spec, tol=tol, terms_per_axis=terms)
+            want = outcome(accelerated_by_term_power, spec, tol=tol, terms_per_axis=terms)
+            assert got == want, (spec, tol, terms)
+            kind = got.split(":")[0] if "Error" in got else "value"
+            kinds.add(kind)
+            if kind == "value" and spec.s.real in REAL_NON_INTEGER_ORDERS and not spec.s.imag:
+                float_power_values.add(len(spec.A))
+        assert kinds == {"value", "AccelerationError", "ZeroDivisionError", "OverflowError"}
+        assert float_power_values == {1, 2, 3}
+
+    @staticmethod
+    def term_power_calls(monkeypatch, spec, terms_per_axis):
+        calls = []
+        term_power = zeta_mod._term_power
+
+        def counting(base, exponent):
+            calls.append(base)
+            return term_power(base, exponent)
+
+        monkeypatch.setattr(zeta_mod, "_term_power", counting)
+        try:
+            zeta_accelerated(spec, terms_per_axis=terms_per_axis)
+        except AccelerationError:
+            pass
+        return len(calls)
+
+    @pytest.mark.parametrize("A", [(1,), (1, 2), (1, 2, 1)])
+    def test_real_non_integer_order_takes_float_powers(self, monkeypatch, A):
+        terms = 56 if len(A) < 3 else 12
+        for s in REAL_NON_INTEGER_ORDERS:
+            assert self.term_power_calls(monkeypatch, spec_of(s, 0.5, 3, 1, A), terms) == 0, s
+
+    @pytest.mark.parametrize("A", [(1,), (1, 2), (1, 2, 1)])
+    def test_integer_complex_and_zero_shift_take_the_complex_power(self, monkeypatch, A):
+        terms = 56 if len(A) < 3 else 12
+        for s, x in [(s, 0.5) for s in INTEGER_ORDERS + (0.5 + 1j, -1.5 - 0.25j)] + [(-1.5, 0.0)]:
+            assert self.term_power_calls(monkeypatch, spec_of(s, x, 3, 1, A), terms) > 0, (s, x)
+
+    def test_complex_power_of_a_positive_base_is_the_float_power(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            b = rng.choice((rng.randint(1, 500) + rng.choice((0.0, 0.5, 1 / 3)), 10.0 ** rng.uniform(-3, 4)))
+            p = rng.uniform(-12.0, 12.0)
+            if p.is_integer():
+                continue
+            for exponent in (complex(p, 0.0), -complex(-p, 0.0)):
+                z = complex(b) ** exponent
+                assert repr(z.real) == repr(b**p) and z.imag == 0, (b, exponent)
+
+
 class TestContinuationBridge:
     def test_order_zero(self):
         report = continuation_check(0, F(0), TwistSpec(2, 1), (1,))
