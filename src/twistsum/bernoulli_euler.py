@@ -12,8 +12,12 @@ E_0 is whatever the generating function produces at z = 0 -- it is not forced
 to 1.  Twists are restricted to roots of unity so that every coefficient lives
 in Q(zeta_k) and all identities can be checked exactly.
 
-The numbers come from inverting a series over Q(zeta_k).  The x-dependence of
-every generating function above is the factor e^{xz} alone, so each
+The numbers come from inverting a series over Q(zeta_k).  For the generalized
+Euler numbers that series is the twisted product expanded over the corner
+subsets S of the weights, sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with
+d_S = sum_{l in S} a_l -- the inclusion-exclusion that the closed form of
+:mod:`twistsum.powersum` walks -- and it is inverted once.  The x-dependence
+of every generating function above is the factor e^{xz} alone, so each
 polynomial is the binomial assembly of its numbers,
 
     P_m(x) = sum_i C(m, i) P_{m-i} x^i.
@@ -230,17 +234,21 @@ def classical_euler_numbers(n_max: int) -> list[Fraction]:
 # Shared by the two public builders so that a polynomial build does not run
 # (and is not timed or counted) as a nested call of gen_euler_numbers.
 def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
-    """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{t a_l} e^{a_l z})."""
+    """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{t a_l} e^{a_l z}).
+
+    The product is expanded over the corner subsets S of the weights, the
+    inclusion-exclusion that the closed form walks (``corners`` of the zero
+    box): it equals sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with
+    d_S = sum_{l in S} a_l, so its z^n coefficient is
+    sum_S (-1)^{|S|} zeta^{t d_S} d_S^n / n!.  That one series is inverted once.
+    """
     A = _as_weights(A)
     A.require_admissible(twist)
-    prod = TruncatedSeries.one(m_max, twist.k)
-    for a in A:
-        root = twist.root(a)
-        coeffs: list = [CyclotomicNumber.one(twist.k) - root]
-        for n in range(1, m_max + 1):
-            coeffs.append(-root * Fraction(a**n, math.factorial(n)))
-        prod = prod * TruncatedSeries.from_coeffs(coeffs, m_max, twist.k)
-    series = prod.inverse().scale(2 ** len(A))
+    coeffs = [CyclotomicNumber.zero(twist.k)] * (m_max + 1)
+    for _, d, sign in A.corners((0,) * len(A)):
+        root = twist.root(d) * sign
+        coeffs = [c + root * Fraction(d**n, math.factorial(n)) for n, c in enumerate(coeffs)]
+    series = TruncatedSeries.from_coeffs(coeffs, m_max, twist.k).inverse().scale(2 ** len(A))
     return [series.taylor_value(m) for m in range(m_max + 1)]
 
 

@@ -145,29 +145,19 @@ def _cmd_euler_gen(args) -> dict:
 
 
 def _cmd_c_values(args) -> dict:
-    out: dict = {}
-    numeric = args.numeric
+    ser = (lambda v: _ser_complex(v.embed())) if args.numeric else _ser_exact
     if args.multi is not None:
-        value = c_star_multi(args.n, args.k, args.multi)
-        out["c_star_multi"] = _ser_complex(value.embed()) if numeric else _ser_exact(value)
-        return out
+        return {"c_star_multi": ser(c_star_multi(args.n, args.k, args.multi))}
     if args.a is None:
         raise ValueError("--a is required unless --multi is given")
     spec = CPolySpec(args.n, args.k, args.a)
     if args.star:
-        value = c_star(args.n, args.k, args.a)
-        out["c_star"] = _ser_complex(value.embed()) if numeric else _ser_exact(value)
-        return out
+        return {"c_star": ser(c_star(args.n, args.k, args.a))}
     if args.x is not None:
-        tilde = c_tilde(spec, parse_rational(args.x))
-        out["c_tilde"] = _ser_complex(tilde.embed()) if numeric else _ser_exact(tilde)
-        return out
+        return {"c_tilde": ser(c_tilde(spec, parse_rational(args.x)))}
     poly = c_poly(spec)
     coeffs = [poly.coeff(i) for i in range(poly.degree() + 1)] or [CyclotomicNumber.zero(args.k)]
-    out["c_poly"] = [
-        _ser_complex(c.embed()) if numeric else _ser_exact(c) for c in coeffs
-    ]
-    return out
+    return {"c_poly": [ser(c) for c in coeffs]}
 
 
 def _cmd_em_sum(args) -> dict:

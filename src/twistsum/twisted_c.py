@@ -51,6 +51,7 @@ from .exact import (
     as_fraction,
     binomial_convolve,
     cyc_root,
+    roots_of_unity,
 )
 
 
@@ -112,7 +113,7 @@ class _PeriodicKernel:
         self.n, self.k = n, k
         numbers = bernoulli_numbers(n)
         self._bcoeffs = [float(math.comb(n, i) * numbers[n - i]) for i in range(n + 1)]
-        self._roots = [cyc_root(k, residue * l).embed() for l in range(k)]
+        self._roots = [roots_of_unity(k)[residue * l % k] for l in range(k)]
 
     def _bern(self, x: float) -> float:
         frac = x - math.floor(x)

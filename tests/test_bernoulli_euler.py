@@ -20,7 +20,7 @@ from twistsum.bernoulli_euler import (
     gen_euler_poly_partition_check,
     periodic_bernoulli,
 )
-from twistsum.exact import PolynomialX
+from twistsum.exact import CyclotomicNumber, PolynomialX, TruncatedSeries
 
 F = Fraction
 ALT = TwistSpec.alternating()
@@ -71,6 +71,26 @@ def sympy_gen_euler_poly(sympy, m, k, t, A):
     while coeffs and not any(coeffs[-1]):
         coeffs.pop()
     return coeffs
+
+
+def gen_euler_by_factors(m_max, twist, A):
+    """2^r / prod_l (1 - zeta^{t a_l} e^{a_l z}) built one weight at a time, one
+    truncated-series product per factor: the reference that the corner
+    expansion of ``gen_euler_numbers`` must match literally."""
+    prod = TruncatedSeries.one(m_max, twist.k)
+    for a in A:
+        root = twist.root(a)
+        coeffs = [CyclotomicNumber.one(twist.k) - root]
+        for n in range(1, m_max + 1):
+            coeffs.append(-root * F(a**n, math.factorial(n)))
+        prod = prod * TruncatedSeries.from_coeffs(coeffs, m_max, twist.k)
+    series = prod.inverse().scale(2 ** len(A))
+    return [series.taylor_value(m) for m in range(m_max + 1)]
+
+
+def literal(values):
+    """The canonical form of each number: its order and its coordinates."""
+    return [(v.order, v.coeffs) for v in values]
 
 
 class TestAgainstSympy:
@@ -216,6 +236,78 @@ class TestGeneralizedEuler:
             gen_euler_numbers(2, ALT, (2,))
         with pytest.raises(SingularTwistError):
             gen_euler_poly(1, TwistSpec(3, 1), (3,))
+
+
+class TestCornerExpansion:
+    """The twisted product is expanded over the corner subsets and inverted once."""
+
+    @staticmethod
+    def seeded_cases():
+        """Two cases per (k, r) for k = 2..13 and r = 1..4, at orders 0..14.
+
+        The second case of each (k, r >= 2) repeats its first weight, so two
+        corners share one weight sum d_S.
+        """
+        rng = random.Random(29)
+        cases = []
+        for k, r in itertools.product(range(2, 14), range(1, 5)):
+            for repeat in (False, r >= 2):
+                while True:
+                    twist = TwistSpec(k, rng.randrange(1, k))
+                    A = [rng.randint(1, 8) for _ in range(r)]
+                    if repeat:
+                        A[-1] = A[0]
+                    if WeightVector(tuple(A)).admissible_for(twist):
+                        break
+                cases.append((rng.randint(0, 14), twist, tuple(A)))
+        return cases
+
+    def test_matches_factor_product(self):
+        cases = self.seeded_cases()
+        assert len(cases) == 96
+        assert any(len(set(A)) < len(A) for _, _, A in cases)
+        for m, twist, A in cases:
+            want = gen_euler_by_factors(m, twist, A)
+            assert literal(gen_euler_numbers(m, twist, A)) == literal(want), (m, twist, A)
+            poly = gen_euler_poly(m, twist, A)
+            expected = PolynomialX.from_coeffs(
+                [math.comb(m, i) * want[m - i] for i in range(m + 1)], twist.k
+            )
+            assert (poly.order, literal(poly.coeffs)) == (twist.k, literal(expected.coeffs))
+
+    def test_shared_corner_sums(self):
+        # (1, 1): both singletons sum to 1; (1, 2, 3): {1, 2} and {3} both sum to 3
+        for twist, A in ((TwistSpec(3, 1), (1, 1)), (TwistSpec(5, 2), (1, 2, 3)), (ALT, (1, 1, 1, 3))):
+            for m in (0, 1, 7, 14):
+                assert literal(gen_euler_numbers(m, twist, A)) == literal(
+                    gen_euler_by_factors(m, twist, A)
+                ), (twist, A, m)
+
+    def test_one_inverse_and_no_products(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(TruncatedSeries, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("__mul__", "inverse"):
+            monkeypatch.setattr(TruncatedSeries, name, counting(name))
+        for build in (gen_euler_numbers, gen_euler_poly):
+            for twist, A in ((ALT, (1,)), (TwistSpec(7, 3), (1, 2, 4, 5))):
+                calls.clear()
+                build(12, twist, A)
+                assert calls["__mul__"] == 0, (build.__name__, A)
+                assert calls["inverse"] == 1, (build.__name__, A)
+
+    def test_negative_order_rejected(self):
+        for build in (gen_euler_numbers, gen_euler_poly):
+            with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+                build(-1, ALT, (1, 3))
 
 
 class TestPartitionIdentity:

@@ -5,6 +5,7 @@ import pytest
 
 from twistsum.cli import build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
+from twistsum.verify import SUITE_NAMES
 from twistsum.zeta import ZetaSpec, finite_sum_asymptotic
 
 
@@ -342,6 +343,13 @@ class TestVerifyCommand:
         assert obj["failures"] == 0
         names = [r["name"] for r in obj["reports"][0]["results"]]
         assert any("field axioms" in n for n in names)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "all"])
+    def test_every_suite_passes(self, capsys, suite, seed):
+        obj = run_json(capsys, "verify", "--suite", suite, "--seed", str(seed))
+        failed = [r for report in obj["reports"] for r in report["results"] if not r["passed"]]
+        assert obj["failures"] == 0, failed
 
 
 class TestOutputModes:

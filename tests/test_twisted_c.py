@@ -4,8 +4,9 @@ import pytest
 
 from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
-from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root
+from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
 from twistsum.twisted_c import (
+    _PeriodicKernel,
     CPolySpec,
     c_poly,
     c_star,
@@ -118,6 +119,15 @@ class TestCTilde:
     def test_periodicity(self):
         spec = CPolySpec(3, 3, 2)
         assert c_tilde(spec, F(1, 7)) == c_tilde(spec, F(1, 7) + 4)
+
+
+class TestPeriodicKernel:
+    def test_roots_come_from_the_table(self):
+        for k in (2, 3, 7, 12, 29):
+            table = roots_of_unity(k)
+            for residue in range(1, k):
+                kernel = _PeriodicKernel(3, k, residue)
+                assert kernel._roots == [table[residue * l % k] for l in range(k)], (k, residue)
 
 
 class TestEmConstant:
