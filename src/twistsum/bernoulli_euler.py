@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ class SingularTwistError(ValueError):
     """Raised when a twist makes a generating-function factor singular at z=0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistSpec:
     """The twist j = 2*pi*i*t/k; the alternating case is k=2, t=1."""
 
@@ -72,7 +73,7 @@ class TwistSpec:
         return (self.t * a) % self.k != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightVector:
     """The positive integer weights A_r = (a_1, ..., a_r)."""
 
@@ -111,7 +112,9 @@ class WeightVector:
 
         The coefficients of prod_i (1 - y^{a_i (N_i+1)})/(1 - y^{a_i}), built
         one axis at a time: multiplying by an axis's factor is a sliding-window
-        sum of width N_i + 1 along each residue class mod a_i.
+        sum of width N_i + 1 along each residue class mod a_i.  A class's
+        window sums are its prefix sums P, held at their last value for the
+        N_i places past the input, minus P taken N_i + 1 places back.
         """
         if len(N) != len(self.entries):
             raise ValueError("limits and weights must have the same length")
@@ -119,13 +122,13 @@ class WeightVector:
             raise ValueError("limits must be nonnegative")
         counts = [1]
         for a, n in zip(self.entries, N):
-            padded = counts + [0] * (a * n)
-            for start in range(a):
-                prefix = list(itertools.accumulate(padded[start::a]))
-                padded[start::a] = [
-                    total - before for total, before in zip(prefix, [0] * (n + 1) + prefix)
-                ]
-            counts = padded
+            out = [0] * (len(counts) + a * n)
+            for start in range(min(a, len(counts))):
+                prefix = list(itertools.accumulate(counts[start::a]))
+                window = prefix + [prefix[-1]] * n
+                window[n + 1 :] = map(operator.sub, window[n + 1 :], prefix)
+                out[start::a] = window
+            counts = out
         return counts
 
     def admissible_for(self, twist: TwistSpec) -> bool:

@@ -42,7 +42,7 @@ _GL_WEIGHTS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothFunction:
     """A function together with its derivatives f, f', ..., f^{(max_order)}."""
 
@@ -122,7 +122,7 @@ def check_derivative_consistency(
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EMResult:
     main_terms: complex
     remainder: complex

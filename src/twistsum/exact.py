@@ -142,7 +142,7 @@ def _reduction_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     ``rows[j - phi]`` lists the pairs (i, c), c != 0, of x^j = sum c x^i
     modulo Phi_k.  The rows reach 2 phi - 2, the degree of a product of two
     reduced numbers, and k - 1, the degree of a raw sum over all k-th roots
-    (``cyc_root``, ``twisted_c._root_sum``).  Phi_k is monic with integer
+    (``cyc_root``, ``_root_sum``).  Phi_k is monic with integer
     coefficients, so x^{j+1} = x * x^j folds its top term back with integers.
     """
     top = _cyclotomic_coeffs(k)
@@ -189,7 +189,7 @@ def _reduce_mod_cyclotomic(coeffs: Sequence[Fraction], k: int) -> tuple[Fraction
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclotomicNumber:
     """An element of Q(zeta_k), reduced modulo Phi_k.
 
@@ -390,6 +390,19 @@ class CyclotomicNumber:
     __repr__ = __str__
 
 
+def _root_sum(k: int, a: int, values: Sequence[RationalLike]) -> CyclotomicNumber:
+    """sum_{l<k} zeta_k^{al} values[l], summed over the powers 1, ..., zeta^{k-1}, then reduced.
+
+    Each value is added into its power-basis coordinate a l mod k, so the
+    sum costs k additions and one reduction modulo Phi_k, with no field
+    product.
+    """
+    raw = [Fraction(0)] * k
+    for l, value in enumerate(values):
+        raw[a * l % k] += value
+    return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
+
+
 def cyc_root(k: int, t: int) -> CyclotomicNumber:
     """zeta_k^t in canonical form (t reduced mod k, then mod Phi_k)."""
     if k < 1:
@@ -410,7 +423,7 @@ def _as_cyclotomic(value, order: int) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(value, order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolynomialX:
     """Dense univariate polynomial with CyclotomicNumber coefficients.
 
@@ -490,7 +503,7 @@ def cyclotomic_polynomial(k: int) -> PolynomialX:
 # truncated formal power series over Q(zeta_k)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """Formal power series in z, truncated at order ``trunc`` (inclusive).
 

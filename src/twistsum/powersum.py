@@ -27,10 +27,10 @@ from .bernoulli_euler import (
     _as_weights,
     gen_euler_poly,
 )
-from .exact import CyclotomicNumber, RationalLike, as_fraction
+from .exact import CyclotomicNumber, RationalLike, _root_sum, as_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumSpec:
     """A power-sum problem instance (weights, limits, shift, exponent, twist)."""
 
@@ -63,9 +63,11 @@ def brute_sum(spec: SumSpec) -> CyclotomicNumber:
     sum_d count(d) (d + x)^s zeta^{t d} with count(d) the number of box points
     on that dot value (:meth:`WeightVector.dot_counts`).  With x = p/q the
     terms are accumulated as the integers count(d) (d q + p)^s, grouped by
-    d mod k; the division by q^s and the k root-of-unity multiplications
-    happen once at the end.  All arithmetic is exact, so the value does not
-    depend on the order of the terms.
+    d mod k.  Each of the k accumulators is added into its power-basis
+    coordinate zeta^{t d mod k}, the sum is reduced once modulo Phi_k and
+    divided once by q^s: no root is built and no field product is taken.
+    All arithmetic is exact, so the value does not depend on the order of
+    the terms.
     """
     k = spec.twist.k
     p, q = spec.x.numerator, spec.x.denominator
@@ -73,12 +75,7 @@ def brute_sum(spec: SumSpec) -> CyclotomicNumber:
     for d, count in enumerate(spec.A.dot_counts(spec.N)):
         if count:
             residue_acc[d % k] += count * (d * q + p) ** spec.s
-    scale = q**spec.s
-    total = CyclotomicNumber.zero(k)
-    for res, acc in enumerate(residue_acc):
-        if acc:
-            total = total + spec.twist.root(res) * Fraction(acc, scale)
-    return total
+    return _root_sum(k, spec.twist.t, residue_acc) / q**spec.s
 
 
 def closed_sum(spec: SumSpec) -> CyclotomicNumber:

@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .bernoulli_euler import (
     SingularTwistError,
@@ -47,7 +47,7 @@ from .exact import (
     PolynomialX,
     RationalLike,
     TruncatedSeries,
-    _reduce_mod_cyclotomic,
+    _root_sum,
     as_fraction,
     binomial_convolve,
     cyc_root,
@@ -62,7 +62,7 @@ def _require_twist(k: int, a: int) -> None:
         raise SingularTwistError(f"singular twist: k={k} divides a={a}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CPolySpec:
     """Index (n, k, a) with k >= 2 and k not dividing a."""
 
@@ -74,14 +74,6 @@ class CPolySpec:
         if self.n < 0:
             raise ValueError("degree index n must be nonnegative")
         _require_twist(self.k, self.a)
-
-
-def _root_sum(k: int, a: int, values: Sequence[Fraction]) -> CyclotomicNumber:
-    """sum_{l<k} zeta_k^{al} values[l], summed over the powers 1, ..., zeta^{k-1}, then reduced."""
-    raw = [Fraction(0)] * k
-    for l, value in enumerate(values):
-        raw[a * l % k] += value
-    return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
 
 
 def _c_number(m: int, k: int, a: int) -> CyclotomicNumber:

@@ -28,7 +28,7 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyResult:
     name: str
     passed: bool

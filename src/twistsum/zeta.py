@@ -30,7 +30,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import as_fraction, roots_of_unity
@@ -46,7 +46,7 @@ class AccelerationError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZetaSpec:
     """A zeta evaluation instance; ``s`` is the decay order of the terms."""
 
@@ -97,6 +97,29 @@ def _term_power(base: float, exponent: complex) -> complex:
     raise ValueError("negative base off the principal branch")
 
 
+def _scaled_powers(
+    scales: Sequence[complex], shift: float, offsets: Iterable[int], exponent: complex
+) -> list[complex]:
+    """[c * _term_power(shift + o, exponent) for c, o in zip(scales, offsets)], bit for bit.
+
+    The offsets are nonnegative integers.  For b > 0 and a real non-integer
+    exponent p, complex(b) ** complex(p, 0) is (b ** p, +-0.0):
+    hypot(b, 0) = b and atan2(0, b) = 0, and a complex times it is the same
+    complex as times the float b ** p.  So with a positive shift such an
+    order takes float powers.  An integer p is left to the complex power,
+    which CPython takes by repeated squaring, and so are complex orders and
+    the shift 0.  A float power that overflows falls back to the complex
+    power, which raises the OverflowError with its own message.
+    """
+    if exponent.imag == 0 and not exponent.real.is_integer() and shift > 0:
+        p = exponent.real
+        try:
+            return [c * (shift + o) ** p for c, o in zip(scales, offsets)]
+        except OverflowError:
+            pass
+    return [c * _term_power(shift + o, exponent) for c, o in zip(scales, offsets)]
+
+
 def _axis_roots(k: int, step: int) -> list[complex]:
     """zeta_k^{step n} for n = 0..k-1, read from the shared root table."""
     roots = roots_of_unity(k)
@@ -114,15 +137,18 @@ def _dot_sum(spec: ZetaSpec, N: Sequence[int]) -> complex:
 
     Each term is weighted by the number of box points on its dot value
     (:meth:`WeightVector.dot_counts`), so the cost grows with A.N rather than
-    with the number of points.
+    with the number of points.  The powers are float powers at a real
+    non-integer order with x > 0 and complex powers otherwise
+    (:func:`_scaled_powers`).
     """
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
-    power = -spec.s
+    counts = spec.A.dot_counts(N)
+    dots = [d for d, count in enumerate(counts) if count]
+    scales = [counts[d] * roots[t * d % k] for d in dots]
     total = 0j
-    for d, count in enumerate(spec.A.dot_counts(N)):
-        if count:
-            total += count * roots[t * d % k] * _term_power(d + spec.x, power)
+    for term in _scaled_powers(scales, spec.x, dots, -spec.s):
+        total += term
     return total
 
 
@@ -133,6 +159,9 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
     inside each block makes the blocked tails absolutely summable there.  The
     box 0 <= M_i < k * terms_per_axis is summed by dot value, so its cost
     grows with k * terms_per_axis * sum(A), not with the number of points.
+    At a real non-integer order with x > 0 the terms take float powers, bit
+    for bit the complex power's values; integer and complex orders take the
+    complex power.
     """
     if spec.s.real <= 0:
         raise ValueError("nonconvergent regime: use zeta_accelerated")
@@ -229,25 +258,15 @@ def zeta_accelerated(
     r = len(weights)
     tables = [_axis_roots(k, spec.twist.t * a) for a in weights]
     power = -spec.s
-    # For b > 0 and real non-integer p, complex(b) ** complex(p, 0) is
-    # (b ** p, +-0.0): hypot(b, 0) = b and atan2(0, b) = 0.  Integer p is left
-    # to the complex power, which CPython takes by repeated squaring.
-    real_power = power.real if power.imag == 0 and not power.real.is_integer() else None
-
-    def innermost_terms(a: int, table: list[complex], shift: float) -> list[complex]:
-        if real_power is not None and shift > 0:
-            try:
-                return [table[n % k] * (shift + a * n) ** real_power for n in range(terms_per_axis)]
-            except OverflowError:
-                pass  # the complex power below raises it with its own message
-        return [table[n % k] * _term_power(shift + a * n, power) for n in range(terms_per_axis)]
+    innermost_scales = [tables[0][n % k] for n in range(terms_per_axis)]
+    innermost_offsets = range(0, weights[0] * terms_per_axis, weights[0])
 
     def axis_value(level: int, shift: float, level_tol: float) -> complex:
         a = weights[level]
         table = tables[level]
         w = table[1]  # the per-index weight zeta^{t a}
         if level == 0:
-            terms = innermost_terms(a, table, shift)
+            terms = _scaled_powers(innermost_scales, shift, innermost_offsets, power)
         else:
             inner_tol = level_tol / 10.0
             terms = [
@@ -330,7 +349,12 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
 
 
 def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
-    """Float oracle: the exact finite box sum from its definition, by dot value."""
+    """Float oracle: the exact finite box sum from its definition, by dot value.
+
+    At a real non-integer order with x > 0 the terms take float powers, bit
+    for bit the complex power's values; integer and complex orders, and
+    x = 0, take the complex power.
+    """
     return _dot_sum(spec, N)
 
 
@@ -338,7 +362,7 @@ def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
 # integer-order exact bridge and decay probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuationReport:
     """Comparison of the accelerated continuation at s = -m with the exact
     generalized-Euler-polynomial value, under both candidate normalizations.
@@ -373,8 +397,10 @@ def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> Con
 
     The continuation convention validated by the brute-force power-sum oracle
     carries no extra exponential factor; the alternative normalization
-    E_m(c)/e^{jc} is measured and reported alongside it.
+    E_m(c)/e^{jc} is measured and reported alongside it.  Raises ValueError
+    before any work unless ``tol`` is finite and positive.
     """
+    _require_tol(tol)
     if m < 0:
         raise ValueError("m must be nonnegative")
     cq = as_fraction(c)
@@ -401,7 +427,7 @@ def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> Con
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecayReport:
     """Empirical error decay: log-log fit of abs_error against scale.
 

@@ -369,6 +369,30 @@ class TestDotCounts:
             assert counts == self.histogram(A, N), (A, N)
             assert sum(counts) == math.prod(n + 1 for n in N)
 
+    @staticmethod
+    def padded_windows(A, N):
+        """The axis-by-axis window sums taken in place over a zero-padded copy of each residue class."""
+        counts = [1]
+        for a, n in zip(A, N):
+            padded = counts + [0] * (a * n)
+            for start in range(a):
+                prefix = list(itertools.accumulate(padded[start::a]))
+                padded[start::a] = [
+                    total - before for total, before in zip(prefix, [0] * (n + 1) + prefix)
+                ]
+            counts = padded
+        return counts
+
+    def test_matches_padded_windows_on_large_boxes(self):
+        rng = random.Random(57)
+        cases = [((3,), (3999,)), ((2, 1), (150, 78)), ((7, 7), (0, 40)), ((1, 9), (3, 2))]
+        for _ in range(60):
+            r = rng.randint(1, 4)
+            A = tuple(rng.randint(1, 9) for _ in range(r))
+            cases.append((A, tuple(rng.randint(0, {1: 500, 2: 120, 3: 30, 4: 12}[r]) for _ in range(r))))
+        for A, N in cases:
+            assert WeightVector(A).dot_counts(N) == self.padded_windows(A, N), (A, N)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WeightVector.of(1, 2).dot_counts((3,))

@@ -66,6 +66,46 @@ class TestSumCommand:
             main(["sum", "--weights", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "k, t, weights, limits, x, s, expected",
+        [
+            ("3", "1", "2", "40", "1/2", "3",
+             '{"brute": {"coeffs": ["-186949", "-2884981/8"], "k": 3}, '
+             '"spec": {"k": 3, "limits": [40], "s": 3, "t": 1, "weights": [2], "x": "1/2"}}\n'),
+            ("3", "2", "1,2", "9,7", "5/2", "4",
+             '{"brute": {"coeffs": ["341425/16", "3246481/16"], "k": 3}, '
+             '"spec": {"k": 3, "limits": [9, 7], "s": 4, "t": 2, "weights": [1, 2], "x": "5/2"}}\n'),
+            ("3", "1", "1,2,4", "4,3,5", "4/3", "2",
+             '{"brute": {"coeffs": ["-400/3", "-1568/3"], "k": 3}, '
+             '"spec": {"k": 3, "limits": [4, 3, 5], "s": 2, "t": 1, "weights": [1, 2, 4], "x": "4/3"}}\n'),
+            ("5", "2", "3", "25", "7/4", "2",
+             '{"brute": {"coeffs": ["21769/16", "-7065/2", "-2445", "-2535/2"], "k": 5}, '
+             '"spec": {"k": 5, "limits": [25], "s": 2, "t": 2, "weights": [3], "x": "7/4"}}\n'),
+            ("5", "2", "1,3", "12,9", "7/4", "4",
+             '{"brute": {"coeffs": ["-1586451/4", "7656273/8", "1688763/8", "5262339/4"], "k": 5}, '
+             '"spec": {"k": 5, "limits": [12, 9], "s": 4, "t": 2, "weights": [1, 3], "x": "7/4"}}\n'),
+            ("5", "4", "1,2,3", "5,4,6", "2/5", "3",
+             '{"brute": {"coeffs": ["-322854/25", "-211498/25", "-230592/25", "-340316/25"], "k": 5}, '
+             '"spec": {"k": 5, "limits": [5, 4, 6], "s": 3, "t": 4, "weights": [1, 2, 3], "x": "2/5"}}\n'),
+            ("12", "5", "7", "30", "5/3", "3",
+             '{"brute": {"coeffs": ["-53455375/27", "-5550832/3", "-249274240/27", "-225142216/27"], "k": 12}, '
+             '"spec": {"k": 12, "limits": [30], "s": 3, "t": 5, "weights": [7], "x": "5/3"}}\n'),
+            ("12", "1", "1,5", "10,8", "3/8", "2",
+             '{"brute": {"coeffs": ["-118569/64", "158137/64", "69815/64", "-3654"], "k": 12}, '
+             '"spec": {"k": 12, "limits": [10, 8], "s": 2, "t": 1, "weights": [1, 5], "x": "3/8"}}\n'),
+            ("12", "7", "1,5,7", "4,3,5", "11/6", "1",
+             '{"brute": {"coeffs": ["-305/3", "-24", "346/3", "12"], "k": 12}, '
+             '"spec": {"k": 12, "limits": [4, 3, 5], "s": 1, "t": 7, "weights": [1, 5, 7], "x": "11/6"}}\n'),
+        ],
+    )
+    def test_golden_brute_output(self, capsys, k, t, weights, limits, x, s, expected):
+        # pins the brute sum byte for byte: reducing once modulo Phi_k must not move it
+        code, out, err = run_cli(
+            capsys, "sum", "--weights", weights, "--limits", limits, "--x", x, "--s", s,
+            "--k", k, "--t", t, "--method", "brute",
+        )
+        assert (code, out, err) == (0, expected, "")
+
 
 class TestEulerGenCommand:
     def test_classical_numbers(self, capsys):
@@ -284,6 +324,28 @@ class TestZetaCommand:
         code, out, _ = run_cli(capsys, "zeta", *argv)
         assert (code, out) == (0, expected)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (  # real non-integer order: float powers
+                ("--s", "1.5", "--x", "0.75", "--k", "3", "--t", "1", "--weights", "1,2", "--terms", "20"),
+                '{"method": "direct", "value": {"im": 0.4262162683343419, "re": 4.993190141669938}}\n',
+            ),
+            (  # integer order: the complex power
+                ("--s", "2", "--x", "0.5", "--k", "4", "--t", "1", "--weights", "1,3", "--terms", "20"),
+                '{"method": "direct", "value": {"im": 1.2848386611707219, "re": 15.566941412485821}}\n',
+            ),
+            (  # complex order: the complex power
+                ("--s", "1.5,0.5", "--x", "1.25", "--k", "5", "--t", "2", "--weights", "1,2", "--terms", "20"),
+                '{"method": "direct", "value": {"im": -0.11332930721210961, "re": 2.091735559909537}}\n',
+            ),
+        ],
+    )
+    def test_golden_direct_output(self, capsys, argv, expected):
+        # pins the direct sum bit for bit: float powers must give the complex power's value
+        code, out, _ = run_cli(capsys, "zeta", "--method", "direct", *argv)
+        assert (code, out) == (0, expected)
+
     def test_finite_method_honours_tolerance(self, capsys):
         argv = ("zeta", "--method", "finite", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2",
                 "--weights", "1,3", "--q", "4", "--limits", "30,30")
@@ -317,6 +379,20 @@ class TestProbeCommand:
             '{"exact": false, "fitted": -2.060303257668344, "monotone_decreasing": true, '
             '"points": [[5.0, 0.09360713610592415], [10.0, 0.015348051038086636], '
             '[20.0, 0.00403947514427136], [40.0, 0.0012507623142883446]], "predicted": -0.5}\n'
+        )
+
+    def test_golden_limits_probe_output(self, capsys):
+        # the limits probe compares against finite_sum_direct at every scale
+        code, out, _ = run_cli(
+            capsys,
+            "probe", "--target", "t3", "--scales", "10,20,40",
+            "--s=-0.5", "--x", "1.5", "--k", "3", "--t", "1", "--weights", "1,2", "--q", "3",
+        )
+        assert code == 0
+        assert out == (
+            '{"exact": false, "fitted": -1.5706511126274998, "monotone_decreasing": true, '
+            '"points": [[10.0, 0.0015578012008693961], [20.0, 0.0005966279990653612], '
+            '[40.0, 0.00017655736516006284]], "predicted": -0.5}\n'
         )
 
     def test_shift_probe_honours_tolerance(self, capsys):

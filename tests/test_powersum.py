@@ -80,6 +80,39 @@ class TestBruteAgainstPointLoop:
             assert brute_sum(spec) == naive_brute_sum(spec) == F(8, 27)
 
 
+def brute_sum_by_roots(spec: SumSpec) -> CyclotomicNumber:
+    """The dot-value sum with each residue class multiplied by its root and added in the field:
+    k roots, k scalar products and k field additions."""
+    k = spec.twist.k
+    p, q = spec.x.numerator, spec.x.denominator
+    residue_acc = [0] * k
+    for d, count in enumerate(spec.A.dot_counts(spec.N)):
+        if count:
+            residue_acc[d % k] += count * (d * q + p) ** spec.s
+    total = CyclotomicNumber.zero(k)
+    for res, acc in enumerate(residue_acc):
+        if acc:
+            total = total + spec.twist.root(res) * F(acc, q**spec.s)
+    return total
+
+
+class TestBruteAgainstRootAssembly:
+    def test_one_reduction_is_literally_the_field_sum(self):
+        rng = random.Random(71)
+        for k in range(2, 13):
+            for r in (1, 2, 3, 4):
+                for _ in range(4):
+                    t = rng.randrange(1, k)
+                    weights = [a for a in range(1, 9) if (t * a) % k]
+                    A = tuple(rng.choice(weights) for _ in range(r))
+                    N = tuple(rng.randint(0, {1: 60, 2: 15, 3: 6, 4: 3}[r]) for _ in range(r))
+                    x = F(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 7)))
+                    spec = SumSpec.of(A, N, x, rng.randint(0, 6), k, t)
+                    got, want = brute_sum(spec), brute_sum_by_roots(spec)
+                    assert (got.order, got.coeffs) == (want.order, want.coeffs), spec
+                    assert all(type(c) is F for c in got.coeffs), spec
+
+
 class TestClosedSum:
     def test_headline_example_and_decomposition(self):
         spec = SumSpec.of((3, 1), (100, 150), 0, 2, 2, 1)

@@ -325,6 +325,18 @@ def outcome(evaluate, spec, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def dot_sum_by_term_power(spec, N):
+    """The dot-value sum with every term through ``_term_power``: the reference
+    that ``_dot_sum`` must match bit for bit, raised errors included."""
+    k, t = spec.twist.k, spec.twist.t
+    roots = roots_of_unity(k)
+    total = 0j
+    for d, count in enumerate(spec.A.dot_counts(N)):
+        if count:
+            total += count * roots[t * d % k] * zeta_mod._term_power(d + spec.x, -spec.s)
+    return total
+
+
 REAL_NON_INTEGER_ORDERS = (1.5, 0.75, 2.25, -0.5, -1.25, -2.75)
 INTEGER_ORDERS = (2, 1, 0, -1, -3)
 
@@ -365,7 +377,7 @@ class TestFloatPowers:
         assert float_power_values == {1, 2, 3}
 
     @staticmethod
-    def term_power_calls(monkeypatch, spec, terms_per_axis):
+    def term_power_calls(monkeypatch, evaluate):
         calls = []
         term_power = zeta_mod._term_power
 
@@ -375,22 +387,60 @@ class TestFloatPowers:
 
         monkeypatch.setattr(zeta_mod, "_term_power", counting)
         try:
-            zeta_accelerated(spec, terms_per_axis=terms_per_axis)
+            evaluate()
         except AccelerationError:
             pass
         return len(calls)
 
+    @classmethod
+    def term_power_calls_per_path(cls, monkeypatch, spec):
+        """_term_power calls of the accelerated continuation and of the direct box sum."""
+        terms = 56 if len(spec.A) < 3 else 12
+        return (
+            cls.term_power_calls(monkeypatch, lambda: zeta_accelerated(spec, terms_per_axis=terms)),
+            cls.term_power_calls(monkeypatch, lambda: finite_sum_direct(spec, (terms,) * len(spec.A))),
+        )
+
     @pytest.mark.parametrize("A", [(1,), (1, 2), (1, 2, 1)])
     def test_real_non_integer_order_takes_float_powers(self, monkeypatch, A):
-        terms = 56 if len(A) < 3 else 12
         for s in REAL_NON_INTEGER_ORDERS:
-            assert self.term_power_calls(monkeypatch, spec_of(s, 0.5, 3, 1, A), terms) == 0, s
+            assert self.term_power_calls_per_path(monkeypatch, spec_of(s, 0.5, 3, 1, A)) == (0, 0), s
 
     @pytest.mark.parametrize("A", [(1,), (1, 2), (1, 2, 1)])
     def test_integer_complex_and_zero_shift_take_the_complex_power(self, monkeypatch, A):
-        terms = 56 if len(A) < 3 else 12
         for s, x in [(s, 0.5) for s in INTEGER_ORDERS + (0.5 + 1j, -1.5 - 0.25j)] + [(-1.5, 0.0)]:
-            assert self.term_power_calls(monkeypatch, spec_of(s, x, 3, 1, A), terms) > 0, (s, x)
+            accelerated, direct = self.term_power_calls_per_path(monkeypatch, spec_of(s, x, 3, 1, A))
+            assert accelerated > 0 and direct > 0, (s, x)
+
+    @staticmethod
+    def seeded_box_cases():
+        rng = random.Random(909)
+        orders = REAL_NON_INTEGER_ORDERS + INTEGER_ORDERS + (0.5 + 1j, -1.5 - 0.25j)
+        for r in (1, 2, 3):
+            for _ in range({1: 80, 2: 80, 3: 40}[r]):
+                k = rng.randint(2, 6)
+                t = rng.randrange(1, k)
+                weights = [a for a in range(1, 6) if (t * a) % k]
+                A = tuple(rng.choice(weights) for _ in range(r))
+                x = rng.choice((0.0, 0.5, 1.0, 7 / 3, 10.0))
+                N = tuple(rng.randint(0, {1: 300, 2: 40, 3: 12}[r]) for _ in range(r))
+                yield spec_of(rng.choice(orders), x, k, t, A), N
+        # float and complex powers overflow alike; the error is the complex power's
+        yield spec_of(-200.5, 1, 2, 1, (1,)), (40,)
+        yield spec_of(200.5, 1e-3, 3, 1, (1, 2)), (5, 5)
+
+    def test_direct_sum_matches_the_complex_power_bit_for_bit(self):
+        kinds, float_power_values = set(), set()
+        for spec, N in self.seeded_box_cases():
+            got = outcome(zeta_mod._dot_sum, spec, N=N)
+            want = outcome(dot_sum_by_term_power, spec, N=N)
+            assert got == want, (spec, N)
+            kind = got.split(":")[0] if "Error" in got else "value"
+            kinds.add(kind)
+            if kind == "value" and spec.s.real in REAL_NON_INTEGER_ORDERS and not spec.s.imag and spec.x:
+                float_power_values.add(len(spec.A))
+        assert kinds == {"value", "ZeroDivisionError", "OverflowError"}
+        assert float_power_values == {1, 2, 3}
 
     def test_complex_power_of_a_positive_base_is_the_float_power(self):
         rng = random.Random(5)
@@ -405,6 +455,16 @@ class TestFloatPowers:
 
 
 class TestContinuationBridge:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-6, 0.0])
+    def test_bad_tolerance_rejected_before_any_work(self, monkeypatch, tol):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
+        with pytest.raises(ValueError, match="tolerance"):
+            continuation_check(2, F(1, 2), TwistSpec(2, 1), (1,), tol=tol)
+
     def test_order_zero(self):
         report = continuation_check(0, F(0), TwistSpec(2, 1), (1,))
         assert report.exact_matches
