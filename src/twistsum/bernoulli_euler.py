@@ -12,13 +12,16 @@ E_0 is whatever the generating function produces at z = 0 -- it is not forced
 to 1.  Twists are restricted to roots of unity so that every coefficient lives
 in Q(zeta_k) and all identities can be checked exactly.
 
-The numbers come from inverting a series over Q(zeta_k).  For the generalized
-Euler numbers that series is the twisted product expanded over the corner
-subsets S of the weights, sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with
-d_S = sum_{l in S} a_l -- the inclusion-exclusion that the closed form of
-:mod:`twistsum.powersum` walks -- and it is inverted once.  The x-dependence
-of every generating function above is the factor e^{xz} alone, so each
-polynomial is the binomial assembly of its numbers,
+Every table of numbers is the reciprocal of an exponential generating
+function (EGF) sum_n v_n z^n/n!, computed from the Taylor values v_n by the
+binomial recurrence :func:`twistsum.exact.binomial_inverse`; no series is
+built.  For the generalized Euler numbers that EGF is the twisted product
+expanded over the corner subsets S of the weights,
+2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with d_S = sum_{l in S} a_l --
+the inclusion-exclusion that the closed form of :mod:`twistsum.powersum`
+walks -- and it is inverted once.  The x-dependence of every generating
+function above is the factor e^{xz} alone, so each polynomial is the binomial
+assembly of its numbers,
 
     P_m(x) = sum_i C(m, i) P_{m-i} x^i.
 """
@@ -37,9 +40,9 @@ from .exact import (
     CyclotomicNumber,
     PolynomialX,
     RationalLike,
-    TruncatedSeries,
     as_fraction,
     binomial_convolve,
+    binomial_inverse,
     cyc_root,
 )
 
@@ -157,22 +160,17 @@ _bernoulli_lock = threading.Lock()
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_n_max, computed by inverting the series (e^z - 1)/z.
+    """B_0..B_n_max, the EGF inverse of (e^z - 1)/z, whose Taylor values are 1/(n+1).
 
-    The cache is append-only and guarded by a lock, so concurrent callers see
-    deterministic values.
+    The cache only grows, at least doubling, and is guarded by a lock, so
+    concurrent callers see deterministic values.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     with _bernoulli_lock:
         if len(_bernoulli_cache) <= n_max:
             trunc = max(n_max, 2 * len(_bernoulli_cache), 8)
-            base = TruncatedSeries.from_coeffs(
-                [Fraction(1, math.factorial(n + 1)) for n in range(trunc + 1)], trunc
-            )
-            inv = base.inverse()
-            _bernoulli_cache.clear()
-            _bernoulli_cache.extend(inv.taylor_value(n).as_rational() for n in range(trunc + 1))
+            _bernoulli_cache[:] = binomial_inverse([Fraction(1, n + 1) for n in range(trunc + 1)])
         return _bernoulli_cache[: n_max + 1]
 
 
@@ -220,14 +218,13 @@ def classical_euler_poly(n: int) -> PolynomialX:
 
 
 def classical_euler_numbers(n_max: int) -> list[Fraction]:
-    """E_0..E_n_max with E_n = E_n(0) (coefficients of 2/(e^z + 1))."""
-    denom = TruncatedSeries.from_coeffs(
-        [Fraction(1)]
-        + [Fraction(1, 2 * math.factorial(m)) for m in range(1, n_max + 1)],
-        n_max,
-    )
-    inv = denom.inverse()
-    return [inv.taylor_value(n).as_rational() for n in range(n_max + 1)]
+    """E_0..E_n_max with E_n = E_n(0) (coefficients of 2/(e^z + 1)).
+
+    The EGF inverse of (e^z + 1)/2, whose Taylor values are 1, 1/2, 1/2, ...
+    """
+    if n_max < 0:
+        raise ValueError("truncation order must be nonnegative")
+    return binomial_inverse([Fraction(1)] + [Fraction(1, 2)] * n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +236,26 @@ def classical_euler_numbers(n_max: int) -> list[Fraction]:
 def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
     """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{t a_l} e^{a_l z}).
 
-    The product is expanded over the corner subsets S of the weights, the
-    inclusion-exclusion that the closed form walks (``corners`` of the zero
-    box): it equals sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with
-    d_S = sum_{l in S} a_l, so its z^n coefficient is
-    sum_S (-1)^{|S|} zeta^{t d_S} d_S^n / n!.  That one series is inverted once.
+    The halved product 2^{-r} prod_l (1 - zeta^{t a_l} e^{a_l z}) is expanded
+    over the corner subsets S of the weights, the inclusion-exclusion that the
+    closed form walks (``corners`` of the zero box): it equals
+    2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with d_S = sum_{l in S} a_l,
+    so its Taylor values are D_n = 2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} d_S^n.
+    The numbers are the EGF inverse of the D_n, whose only field inverse is 1/D_0.
     """
     A = _as_weights(A)
     A.require_admissible(twist)
-    coeffs = [CyclotomicNumber.zero(twist.k)] * (m_max + 1)
+    if m_max < 0:
+        raise ValueError("truncation order must be nonnegative")
+    values = [CyclotomicNumber.zero(twist.k)] * (m_max + 1)
     for _, d, sign in A.corners((0,) * len(A)):
-        root = twist.root(d) * sign
-        coeffs = [c + root * Fraction(d**n, math.factorial(n)) for n, c in enumerate(coeffs)]
-    series = TruncatedSeries.from_coeffs(coeffs, m_max, twist.k).inverse().scale(2 ** len(A))
-    return [series.taylor_value(m) for m in range(m_max + 1)]
+        root = twist.root(d) * Fraction(sign, 2 ** len(A))
+        values = [v + root * d**n for n, v in enumerate(values)]
+    return binomial_inverse(values)
 
 
 def gen_euler_numbers(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
-    """E_0(j,A_r)..E_m_max(j,A_r) by series inversion of the twisted product."""
+    """E_0(j,A_r)..E_m_max(j,A_r), the EGF inverse of 2^{-r} prod_l (1 - zeta^{t a_l} e^{a_l z})."""
     return _gen_euler_values(m_max, twist, A)
 
 

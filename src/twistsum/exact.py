@@ -2,14 +2,18 @@
 
 Provides the scalar tower used everywhere else: arbitrary-precision
 rationals (stdlib ``fractions.Fraction``), elements of the cyclotomic field
-Q(zeta_k) in canonical form modulo the k-th cyclotomic polynomial,
-truncated formal power series over Q(zeta_k), and dense univariate
-polynomials with cyclotomic coefficients.  x enters every generating function
-of the package only through the factor e^{xz}, so every polynomial is
-assembled binomially from its numbers, its values at x = 0 (see
+Q(zeta_k) in canonical form modulo the k-th cyclotomic polynomial, and dense
+univariate polynomials with cyclotomic coefficients.  x enters every
+generating function of the package only through the factor e^{xz}, so every
+polynomial is assembled binomially from its numbers, its values at x = 0 (see
 :mod:`twistsum.bernoulli_euler`).  There is no polynomial arithmetic: a
-:class:`PolynomialX` is a value that is read, compared and evaluated, and no
-series ever carries the variable x.
+:class:`PolynomialX` is a value that is read, compared and evaluated.
+
+Every number table is the reciprocal of an exponential generating function
+(EGF) sum_n v_n z^n/n!, and is computed from the values v_n alone by
+:func:`binomial_inverse`, the inverse of :func:`binomial_convolve`.  The
+truncated formal power series of :class:`TruncatedSeries` are the type of
+the checks' independent references, not of any computed table.
 
 A field product is the plain polynomial product of the two coordinate
 vectors, reduced modulo Phi_k through a cached table of the integer rows
@@ -352,8 +356,11 @@ class CyclotomicNumber:
         number, q = pair
         return number.is_rational() and number.coeffs[0] == q
 
-    # a number equals the Fraction of its value, and their hashes differ
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        # a rational number equals the Fraction of its value at every order
+        if self.is_rational():
+            return hash(self.coeffs[0])
+        return hash((self.order, self.coeffs))
 
     # -- numerics and serialization -----------------------------------------
 
@@ -474,8 +481,6 @@ class PolynomialX:
             x == y for x, y in zip(self.coeffs, other.coeffs)
         )
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -492,6 +497,10 @@ class PolynomialX:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+# @dataclass(frozen=True) replaces an in-class ``__hash__ = None`` with a field hash
+PolynomialX.__hash__ = None  # type: ignore[assignment]
 
 
 def cyclotomic_polynomial(k: int) -> PolynomialX:
@@ -594,21 +603,40 @@ class TruncatedSeries:
             return NotImplemented
         return self.trunc == other.trunc and self.coeffs == other.coeffs
 
-    __hash__ = None  # type: ignore[assignment]
+
+TruncatedSeries.__hash__ = None  # type: ignore[assignment]
 
 
-def binomial_convolve(
-    left: Sequence[CyclotomicNumber], right: Sequence[CyclotomicNumber]
-) -> list[CyclotomicNumber]:
+def binomial_convolve(left: Sequence, right: Sequence) -> list:
     """out[m] = sum_i C(m, i) left[i] right[m-i], for m below the shorter length.
 
-    This is the product of two exponential generating functions
-    sum_m v_m z^m/m!, read back in the same convention.
+    This is the product of two exponential generating functions (EGFs)
+    sum_m v_m z^m/m!, read back in the same convention, on Fractions or on
+    numbers of one order.
     """
     out = []
     for m in range(min(len(left), len(right))):
-        acc = CyclotomicNumber.zero(left[0].order)
-        for i in range(m + 1):
+        acc = left[0] * right[m]
+        for i in range(1, m + 1):
             acc = acc + left[i] * right[m - i] * math.comb(m, i)
         out.append(acc)
+    return out
+
+
+def binomial_inverse(values: Sequence) -> list:
+    """The values of the reciprocal of sum_n values[n] z^n/n!, through the same order.
+
+    out[n] = -values[0]^{-1} sum_{i<n} C(n, i) values[n-i] out[i], so that
+    ``binomial_convolve(values, out)`` is 1, 0, 0, ...  The values are
+    Fractions or numbers of one order; values[0] must be nonzero, and its
+    inverse is the only field inverse taken.
+    """
+    inv0 = 1 / values[0]
+    neg_inv0 = -inv0
+    out = [inv0]
+    for n in range(1, len(values)):
+        acc = values[n] * out[0]
+        for i in range(1, n):
+            acc = acc + values[n - i] * out[i] * math.comb(n, i)
+        out.append(acc * neg_inv0)
     return out

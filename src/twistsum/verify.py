@@ -22,7 +22,14 @@ from . import powersum as ps
 from . import twisted_c as tc
 from . import zeta as zt
 from .bernoulli_euler import TwistSpec, WeightVector
-from .exact import CyclotomicNumber, TruncatedSeries, cyc_root, euler_phi
+from .exact import (
+    CyclotomicNumber,
+    TruncatedSeries,
+    binomial_convolve,
+    binomial_inverse,
+    cyc_root,
+    euler_phi,
+)
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -162,6 +169,37 @@ def suite_exact(seed: int) -> SuiteReport:
         return None
 
     rep.check("series inverse times the series is the identity series", inverse_roundtrip)
+
+    def egf_inverse() -> Optional[str]:
+        for trial in range(40):
+            T = rng.randint(0, 8)
+            k = 1 if trial % 2 else rng.randint(2, 12)  # k = 1 draws Fractions
+
+            def draw():
+                if k == 1:
+                    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                phi = euler_phi(k)
+                return CyclotomicNumber(
+                    k, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(phi))
+                )
+
+            values = [draw() for _ in range(T + 1)]
+            while values[0] == 0:
+                values[0] = draw()
+            out, shown = binomial_inverse(values), ", ".join(map(str, values))
+            series = TruncatedSeries.from_coeffs(
+                [v / math.factorial(n) for n, v in enumerate(values)], T, k
+            ).inverse()
+            for n, got in enumerate(out):
+                want = series.taylor_value(n)
+                coords = (got.order, got.coeffs) if k > 1 else (1, (got,))
+                if type(got) is not type(values[0]) or coords != (want.order, want.coeffs):
+                    return f"binomial_inverse([{shown}])[{n}] = {got}, series inverse {want}"
+            if binomial_convolve(values, out) != [1] + [0] * T:
+                return f"v * binomial_inverse(v) is not 1, 0, ... for v = [{shown}]"
+        return None
+
+    rep.check("EGF inverse equals the series inverse and convolves to 1, 0, 0, ...", egf_inverse)
     return rep
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistsum import bernoulli_euler
 from twistsum.bernoulli_euler import (
     SingularTwistError,
     TwistSpec,
@@ -88,6 +89,23 @@ def gen_euler_by_factors(m_max, twist, A):
     return [series.taylor_value(m) for m in range(m_max + 1)]
 
 
+def bernoulli_by_series(n_max):
+    """B_0..B_n_max by inverting the truncated series (e^z - 1)/z, the reference
+    that the EGF inverse of ``bernoulli_numbers`` must match literally."""
+    base = TruncatedSeries.from_coeffs([F(1, math.factorial(n + 1)) for n in range(n_max + 1)], n_max)
+    inv = base.inverse()
+    return [inv.taylor_value(n).as_rational() for n in range(n_max + 1)]
+
+
+def classical_euler_by_series(n_max):
+    """E_0..E_n_max by inverting the truncated series (e^z + 1)/2."""
+    denom = TruncatedSeries.from_coeffs(
+        [F(1)] + [F(1, 2 * math.factorial(n)) for n in range(1, n_max + 1)], n_max
+    )
+    inv = denom.inverse()
+    return [inv.taylor_value(n).as_rational() for n in range(n_max + 1)]
+
+
 def literal(values):
     """The canonical form of each number: its order and its coordinates."""
     return [(v.order, v.coeffs) for v in values]
@@ -132,6 +150,11 @@ class TestBernoulli:
     def test_against_recurrence_oracle(self):
         assert bernoulli_numbers(20) == recurrence_bernoulli(20)
 
+    def test_against_series_inverse(self):
+        nums = bernoulli_numbers(60)
+        assert [type(b) for b in nums] == [F] * 61
+        assert nums == bernoulli_by_series(60)
+
     def test_recurrence_identity(self):
         nums = bernoulli_numbers(15)
         for n in range(1, 15):
@@ -156,6 +179,11 @@ class TestClassicalEuler:
 
     def test_numbers(self):
         assert classical_euler_numbers(3) == [F(1), F(-1, 2), F(0), F(1, 4)]
+
+    def test_against_series_inverse(self):
+        nums = classical_euler_numbers(40)
+        assert [type(e) for e in nums] == [F] * 41
+        assert nums == classical_euler_by_series(40)
 
     def test_complement_identity(self):
         # E_m(x) + E_m(x+1) = 2 x^m, at m + 1 points, which fix a degree-m identity
@@ -283,31 +311,41 @@ class TestCornerExpansion:
                     gen_euler_by_factors(m, twist, A)
                 ), (twist, A, m)
 
-    def test_one_inverse_and_no_products(self, monkeypatch):
-        calls = Counter()
+    def test_no_series_and_one_field_inverse(self, monkeypatch):
+        # every table is an EGF inverse: no builder makes a truncated series,
+        # and a generalized build inverts only D_0
+        def no_series(self):
+            raise AssertionError("a builder made a TruncatedSeries")
 
-        def counting(name):
-            original = getattr(TruncatedSeries, name)
+        inverses = []
+        original = CyclotomicNumber.inverse
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        def counting(self):
+            inverses.append(self)
+            return original(self)
 
-            return wrapper
-
-        for name in ("__mul__", "inverse"):
-            monkeypatch.setattr(TruncatedSeries, name, counting(name))
+        monkeypatch.setattr(TruncatedSeries, "__post_init__", no_series)
+        monkeypatch.setattr(CyclotomicNumber, "inverse", counting)
+        monkeypatch.setattr(bernoulli_euler, "_bernoulli_cache", [])
+        for build in (bernoulli_numbers, classical_euler_numbers):
+            inverses.clear()
+            build(12)
+            assert not inverses, build.__name__
         for build in (gen_euler_numbers, gen_euler_poly):
             for twist, A in ((ALT, (1,)), (TwistSpec(7, 3), (1, 2, 4, 5))):
-                calls.clear()
+                inverses.clear()
                 build(12, twist, A)
-                assert calls["__mul__"] == 0, (build.__name__, A)
-                assert calls["inverse"] == 1, (build.__name__, A)
+                d0 = math.prod(1 - twist.root(a) for a in A) * F(1, 2 ** len(A))
+                assert inverses == [d0], (build.__name__, A)
 
     def test_negative_order_rejected(self):
         for build in (gen_euler_numbers, gen_euler_poly):
             with pytest.raises(ValueError, match="truncation order must be nonnegative"):
                 build(-1, ALT, (1, 3))
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            classical_euler_numbers(-1)
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            bernoulli_numbers(-1)
 
 
 class TestPartitionIdentity:

@@ -182,6 +182,21 @@ class TestCyclotomicNumber:
         assert F(2, 3) * z == two_thirds_z
         assert p.eval_exact(F(5, 3)) == expected
 
+    def test_equal_values_hash_equal(self):
+        for q in (F(0), F(1), F(-2, 5), F(7, 3)):
+            for k in (1, 2, 3, 6, 12):
+                number = CyclotomicNumber.from_rational(q, k)
+                assert number == q and hash(number) == hash(q), (q, k)
+        assert hash(CyclotomicNumber.from_rational(3, 5)) == hash(3)
+        assert len({CyclotomicNumber.from_rational(1), F(1), CyclotomicNumber.from_rational(1, 3), 1}) == 1
+        assert cyc_root(2, 1) == cyc_root(6, 3) and hash(cyc_root(2, 1)) == hash(cyc_root(6, 3))
+        val = cyc_root(5, 2) * F(3, 7) + F(1, 2)
+        assert hash(val) == hash(CyclotomicNumber.from_json_obj(val.to_json_obj()))
+        assert len({cyc_root(3, 1), cyc_root(6, 2), cyc_root(3, 1) * 1}) == 2
+        for value in (poly_of(1, 2), TruncatedSeries.one(2)):
+            with pytest.raises(TypeError):
+                hash(value)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicNumber.one(3) / CyclotomicNumber.zero(3)
