@@ -18,9 +18,15 @@ the checks' independent references, not of any computed table.
 A field product is the plain polynomial product of the two coordinate
 vectors, reduced modulo Phi_k through a cached table of the integer rows
 x^j mod Phi_k (Phi_k is monic with integer coefficients): each coefficient of
-degree j >= phi(k) is added into the low coordinates along its row.  Long
-division by Phi_k builds the cyclotomic polynomials and runs the field
-inverse; no product goes through it.
+degree j >= phi(k) is added into the low coordinates along its row.  A sum
+of products is reduced once: every product is added into one raw coordinate
+list first (:func:`_sum_products`, which the binomial convolution and its
+inverse use).  A root of unity zeta^e acts by rotating coordinates, moving
+the coordinate at zeta^i to zeta^{(e+i) mod k}, so a sum of numbers times
+roots is one raw sum over the k powers of zeta and one reduction, with no
+field product (:func:`_root_sum`).  Long division by Phi_k builds the
+cyclotomic polynomials and runs the field inverse; no product goes through
+it.
 
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
@@ -41,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -397,16 +403,27 @@ class CyclotomicNumber:
     __repr__ = __str__
 
 
-def _root_sum(k: int, a: int, values: Sequence[RationalLike]) -> CyclotomicNumber:
-    """sum_{l<k} zeta_k^{al} values[l], summed over the powers 1, ..., zeta^{k-1}, then reduced.
+def _root_sum(k: int, terms: Iterable[tuple]) -> CyclotomicNumber:
+    """sum zeta_k^e v over the pairs (e, v) of ``terms``, each v a rational or a number of order k.
 
-    Each value is added into its power-basis coordinate a l mod k, so the
-    sum costs k additions and one reduction modulo Phi_k, with no field
-    product.
+    zeta^e v is v's coordinate vector moved e places modulo k: its coordinate
+    at zeta^i is added into the raw coordinate of zeta^{(e + i) mod k}.  The
+    raw sum over the powers 1, ..., zeta^{k-1} is reduced once modulo Phi_k,
+    so the sum takes no field product.
     """
     raw = [Fraction(0)] * k
-    for l, value in enumerate(values):
-        raw[a * l % k] += value
+    for e, value in terms:
+        if isinstance(value, CyclotomicNumber):
+            if value.order != k:
+                raise TypeError(f"a number of order {value.order} in a sum over the {k}-th roots")
+            coords = value.coeffs
+        else:
+            coords = (value,)
+        e %= k
+        for i, c in enumerate(coords):
+            if c:
+                j = e + i
+                raw[j - k if j >= k else j] += c
     return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
 
 
@@ -607,20 +624,42 @@ class TruncatedSeries:
 TruncatedSeries.__hash__ = None  # type: ignore[assignment]
 
 
+def _sum_products(terms: Sequence[tuple]):
+    """sum c a b over the triples (c, a, b) of ``terms``.
+
+    c is an integer; a and b are Fractions or numbers of one order.  For
+    numbers of order k every c a_i b_j is added into one raw coordinate
+    list of degree 2 phi(k) - 2, which is reduced once modulo Phi_k: a sum of
+    n products costs one reduction, not n.  Fractions are summed plainly.
+    """
+    if not isinstance(terms[0][1], CyclotomicNumber):
+        return sum(a * b * c for c, a, b in terms)
+    k = terms[0][1].order
+    raw = [Fraction(0)] * (2 * euler_phi(k) - 1)
+    for c, a, b in terms:
+        if a.order != k or b.order != k:
+            raise TypeError(f"numbers of orders {a.order} and {b.order} in a sum of order {k}")
+        b_terms = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                ai *= c
+                for j, bj in b_terms:
+                    raw[i + j] += ai * bj
+    return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
+
+
 def binomial_convolve(left: Sequence, right: Sequence) -> list:
     """out[m] = sum_i C(m, i) left[i] right[m-i], for m below the shorter length.
 
     This is the product of two exponential generating functions (EGFs)
     sum_m v_m z^m/m!, read back in the same convention, on Fractions or on
-    numbers of one order.
+    numbers of one order.  Each out[m] is one sum of products, reduced once
+    modulo Phi_k (:func:`_sum_products`).
     """
-    out = []
-    for m in range(min(len(left), len(right))):
-        acc = left[0] * right[m]
-        for i in range(1, m + 1):
-            acc = acc + left[i] * right[m - i] * math.comb(m, i)
-        out.append(acc)
-    return out
+    return [
+        _sum_products([(math.comb(m, i), left[i], right[m - i]) for i in range(m + 1)])
+        for m in range(min(len(left), len(right)))
+    ]
 
 
 def binomial_inverse(values: Sequence) -> list:
@@ -629,14 +668,14 @@ def binomial_inverse(values: Sequence) -> list:
     out[n] = -values[0]^{-1} sum_{i<n} C(n, i) values[n-i] out[i], so that
     ``binomial_convolve(values, out)`` is 1, 0, 0, ...  The values are
     Fractions or numbers of one order; values[0] must be nonzero, and its
-    inverse is the only field inverse taken.
+    inverse is the only field inverse taken.  Each sum over i is reduced once
+    modulo Phi_k (:func:`_sum_products`) and then takes one field product by
+    -values[0]^{-1}, so n outputs cost about 2n reductions.
     """
     inv0 = 1 / values[0]
     neg_inv0 = -inv0
     out = [inv0]
     for n in range(1, len(values)):
-        acc = values[n] * out[0]
-        for i in range(1, n):
-            acc = acc + values[n - i] * out[i] * math.comb(n, i)
+        acc = _sum_products([(math.comb(n, i), values[n - i], out[i]) for i in range(n)])
         out.append(acc * neg_inv0)
     return out

@@ -75,17 +75,23 @@ def brute_sum(spec: SumSpec) -> CyclotomicNumber:
     for d, count in enumerate(spec.A.dot_counts(spec.N)):
         if count:
             residue_acc[d % k] += count * (d * q + p) ** spec.s
-    return _root_sum(k, spec.twist.t, residue_acc) / q**spec.s
+    return _root_sum(k, ((spec.twist.t * l, acc) for l, acc in enumerate(residue_acc))) / q**spec.s
 
 
 def closed_sum(spec: SumSpec) -> CyclotomicNumber:
-    """The inclusion-exclusion closed form; identical to :func:`brute_sum`."""
+    """The inclusion-exclusion closed form; identical to :func:`brute_sum`.
+
+    Each corner value E_s(shift + x) is multiplied by its root zeta^{t shift}
+    as a rotation of its coordinates, and the 2^r signed corner values are
+    added in one raw vector reduced once modulo Phi_k (``exact._root_sum``):
+    the only field products are those of the Euler build.
+    """
     poly = gen_euler_poly(spec.s, spec.twist, spec.A)
-    total = CyclotomicNumber.zero(spec.twist.k)
+    terms = []
     for _, shift, sign in spec.A.corners(spec.N):
-        term = spec.twist.root(shift) * poly.eval_exact(shift + spec.x)
-        total = total + (term if sign > 0 else -term)
-    return total * Fraction(1, 2 ** len(spec.A))
+        value = poly.eval_exact(shift + spec.x)
+        terms.append((spec.twist.t * shift, value if sign > 0 else -value))
+    return _root_sum(spec.twist.k, terms) * Fraction(1, 2 ** len(spec.A))
 
 
 def closed_sum_trace(spec: SumSpec) -> list[dict]:

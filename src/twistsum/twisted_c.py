@@ -78,7 +78,7 @@ class CPolySpec:
 
 def _c_number(m: int, k: int, a: int) -> CyclotomicNumber:
     """C_{m,k}(0;a) = sum_{l<k} zeta^{al} B_m(-l/k), exact."""
-    return _root_sum(k, a, [_bernoulli_value(m, Fraction(-l, k)) for l in range(k)])
+    return _root_sum(k, ((a * l, _bernoulli_value(m, Fraction(-l, k))) for l in range(k)))
 
 
 def c_poly(spec: CPolySpec) -> PolynomialX:
@@ -92,8 +92,10 @@ def c_tilde(spec: CPolySpec, x: Union[RationalLike, float]) -> Union[CyclotomicN
     """C~_{n,k}(x;a): exact cyclotomic for rational x, complex for float x."""
     if isinstance(x, (int, Fraction)):
         xq = as_fraction(x)
-        values = [periodic_bernoulli(spec.n, xq - Fraction(l, spec.k)) for l in range(spec.k)]
-        return _root_sum(spec.k, spec.a, values)
+        return _root_sum(
+            spec.k,
+            ((spec.a * l, periodic_bernoulli(spec.n, xq - Fraction(l, spec.k))) for l in range(spec.k)),
+        )
     return _periodic_kernel(spec.n, spec.k, spec.a % spec.k)(float(x))
 
 

@@ -31,9 +31,6 @@ from .exact import (
     euler_phi,
 )
 
-DEFAULT_ATOL = 1e-10
-DEFAULT_RTOL = 1e-8
-
 
 @dataclass(frozen=True, slots=True)
 class PropertyResult:
@@ -74,10 +71,6 @@ class SuiteReport:
             "failures": self.failures,
             "results": [r.to_json_obj() for r in self.results],
         }
-
-
-def _close(a: complex, b: complex, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> bool:
-    return abs(a - b) <= atol + rtol * abs(b)
 
 
 # ---------------------------------------------------------------------------

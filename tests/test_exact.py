@@ -308,3 +308,103 @@ class TestTruncatedSeries:
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries.one(2) * TruncatedSeries.one(3)
+
+
+def random_number(rng, k):
+    """A seeded number of order k with about a fifth of its coordinates zero."""
+    return CyclotomicNumber(
+        k,
+        tuple(
+            F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else F(0)
+            for _ in range(euler_phi(k))
+        ),
+    )
+
+
+def count_calls(monkeypatch, name):
+    """Replace exact.<name> by a wrapper that counts its calls; returns the counter."""
+    original, calls = getattr(exact, name), [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
+class TestSumKernels:
+    """The sum of products and the rotation sum against per-product arithmetic.
+
+    k runs through 30, so the orders include k = 7, where a product's raw
+    degree 2 phi - 2 exceeds k - 1, and k = 30, where phi < k / 2.
+    """
+
+    def test_sum_of_products_equals_per_product_arithmetic(self):
+        rng = random.Random(23)
+        for k in range(1, 31):
+            for n in (1, 2, 6):
+                terms = [(rng.randint(1, 40), random_number(rng, k), random_number(rng, k)) for _ in range(n)]
+                terms.append((3, CyclotomicNumber.zero(k), random_number(rng, k)))
+                expected = CyclotomicNumber.zero(k)
+                for c, a, b in terms:
+                    expected = expected + a * b * c
+                got = exact._sum_products(terms)
+                assert (got.order, got.coeffs) == (expected.order, expected.coeffs), (k, n)
+                assert all(type(c) is F for c in got.coeffs)
+
+    def test_sum_of_products_on_fractions(self):
+        rng = random.Random(29)
+        for n in (1, 2, 7):
+            terms = [
+                (rng.randint(1, 40), F(rng.randint(-9, 9), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 6)))
+                for _ in range(n)
+            ]
+            got = exact._sum_products(terms)
+            assert type(got) is F and got == sum(c * a * b for c, a, b in terms)
+
+    def test_rotation_equals_root_products(self):
+        rng = random.Random(31)
+        for k in range(1, 31):
+            total, expected = [], CyclotomicNumber.zero(k)
+            for e in range(k):
+                v = random_number(rng, k)
+                got = exact._root_sum(k, [(e, v)])
+                want = cyc_root(k, e) * v
+                assert (got.order, got.coeffs) == (want.order, want.coeffs), (k, e)
+                q = F(rng.randint(-9, 9), rng.randint(1, 6))
+                total += [(e, v), (e - 3 * k, q)]
+                expected = expected + cyc_root(k, e) * v + cyc_root(k, e) * q
+            got = exact._root_sum(k, total)
+            assert got.coeffs == expected.coeffs and all(type(c) is F for c in got.coeffs), k
+
+    def test_two_orders_of_one_degree_do_not_combine(self):
+        # phi(3) = phi(6) = 2, so coordinates alone would combine silently
+        with pytest.raises(TypeError):
+            exact._sum_products([(1, cyc_root(3, 1), cyc_root(6, 1))])
+        with pytest.raises(TypeError):
+            exact._root_sum(6, [(1, cyc_root(3, 1))])
+
+    def test_binomial_inverse_reduces_each_output_about_twice(self, monkeypatch):
+        rng = random.Random(37)
+        k, m = 7, 14
+        values = [cyc_root(k, 2) + F(1, 3)] + [random_number(rng, k) for _ in range(m)]
+        exact._reduction_rows(k)
+        reductions = count_calls(monkeypatch, "_reduce_mod_cyclotomic")
+        out = exact.binomial_inverse(values)
+        assert reductions[0] <= 2 * (m + 1)
+        monkeypatch.undo()
+        assert exact.binomial_convolve(values, out) == [1] + [0] * m
+
+    def test_closed_sum_takes_no_field_product_beyond_its_build(self, monkeypatch):
+        from twistsum.bernoulli_euler import gen_euler_poly
+        from twistsum.powersum import SumSpec, brute_sum, closed_sum
+
+        spec = SumSpec.of((1, 2, 3), (2, 1, 3), F(2, 3), 9, 5, 2)
+        assert closed_sum(spec) == brute_sum(spec)  # also fills the cyclotomic caches
+        products = count_calls(monkeypatch, "_poly_mul_frac")
+        gen_euler_poly(spec.s, spec.twist, spec.A)
+        build = products[0]
+        products[0] = 0
+        closed_sum(spec)
+        assert build > 0 and products[0] == build
