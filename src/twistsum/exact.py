@@ -24,9 +24,13 @@ list first (:func:`_sum_products`, which the binomial convolution and its
 inverse use).  A root of unity zeta^e acts by rotating coordinates, moving
 the coordinate at zeta^i to zeta^{(e+i) mod k}, so a sum of numbers times
 roots is one raw sum over the k powers of zeta and one reduction, with no
-field product (:func:`_root_sum`).  Long division by Phi_k builds the
-cyclotomic polynomials and runs the field inverse; no product goes through
-it.
+field product (:func:`_root_sum`).  A single product is the same kernel on
+one term, and a single root is the same rotation on one rational.
+
+Nothing divides polynomials.  Phi_k is built in integers, by synthetic
+division of x^k - 1 by the monic Phi_d of the proper divisors d of k.  The
+field inverse is the product of the other Galois conjugates, taken in
+integers in Z[x]/(x^k - 1), over the integer norm.
 
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
@@ -86,62 +90,29 @@ def euler_phi(k: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# dense rational polynomial helpers (little-endian Fraction tuples)
-# ---------------------------------------------------------------------------
-
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return tuple(coeffs[:end])
-
-
-def _poly_mul_frac(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_frac(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    den = list(_strip(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    for i in range(len(rem) - len(den), -1, -1):
-        c = rem[i + len(den) - 1] * inv_lead
-        if c:
-            quot[i] = c
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    return quot, list(_strip(rem))
-
-
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_coeffs(k: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_k, via (x^k - 1) / prod of Phi_d over proper divisors."""
+def _cyclotomic_coeffs(k: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_k: x^k - 1 divided by Phi_d for each proper divisor d of k.
+
+    Each Phi_d is monic with integer coefficients, so every division is an
+    integer synthetic division, and it must leave no remainder.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return (Fraction(-1), Fraction(1))
-    num: Sequence[Fraction] = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-    den: list[Fraction] = [Fraction(1)]
+    quot = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
-        if k % d == 0:
-            den = _poly_mul_frac(den, _cyclotomic_coeffs(d))
-    quot, rem = _poly_divmod_frac(num, den)
-    if rem:
-        raise ArithmeticError(f"cyclotomic division left a remainder for k={k}")
+        if k % d:
+            continue
+        den = _cyclotomic_coeffs(d)
+        m = len(den) - 1
+        rem, quot = quot, [0] * (len(quot) - m)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + m]
+            if c:
+                for j in range(m):
+                    rem[i + j] -= c * den[j]
+        if any(rem[:m]):
+            raise ArithmeticError(f"cyclotomic division left a remainder for k={k}")
     return tuple(quot)
 
 
@@ -157,9 +128,7 @@ def _reduction_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
     top = _cyclotomic_coeffs(k)
     phi = len(top) - 1
-    if any(c.denominator != 1 for c in top):
-        raise ArithmeticError(f"Phi_{k} has a non-integer coefficient")
-    fold = [-int(c) for c in top[:phi]]  # x^phi = -sum_{i<phi} Phi_k[i] x^i
+    fold = [-c for c in top[:phi]]  # x^phi = -sum_{i<phi} Phi_k[i] x^i
     rows = [fold]
     for _ in range(phi + 1, max(2 * phi - 2, k - 1) + 1):
         prev = rows[-1]
@@ -168,13 +137,13 @@ def _reduction_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
-def _reduce_mod_cyclotomic(coeffs: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
+def _reduce_mod_cyclotomic(coeffs: Sequence, k: int) -> tuple:
     """Canonical phi(k) coordinates of sum_j coeffs[j] x^j modulo Phi_k.
 
     Each coefficient of degree j >= phi is added into the low coordinates
     along the integer row x^j mod Phi_k of :func:`_reduction_rows`, so an
-    entry of +-1 costs one Fraction addition and no division is done.  The
-    input may have any length up to max(2 phi - 1, k).
+    entry of +-1 costs one addition and no division is done.  The input
+    holds Fractions or ints and may have any length up to max(2 phi - 1, k).
     """
     phi = euler_phi(k)
     out = list(coeffs[:phi])
@@ -297,8 +266,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other) -> CyclotomicNumber:
         if isinstance(other, CyclotomicNumber) and other.order == self.order:
-            prod = _poly_mul_frac(self.coeffs, other.coeffs)
-            return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(prod, self.order))
+            return _sum_products(((1, self, other),))
         pair = self._scalar_pair(other)
         if pair is None:
             return NotImplemented
@@ -308,28 +276,43 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicNumber:
-        """Field inverse via the extended Euclidean algorithm against Phi_k."""
+        """Field inverse: the product c of the other conjugates, over the norm.
+
+        With L the common denominator of the coordinates, b = L a has integer
+        coordinates.  sigma_j (zeta -> zeta^j) moves b's coordinate at zeta^i
+        to zeta^{ij mod k}, so the conjugates sigma_j(b), j prime to k and
+        j != 1, multiply out in integers in Z[x]/(x^k - 1), which Phi_k
+        divides.  c is that product reduced modulo Phi_k, N = b c is the
+        nonzero integer norm of b, and a^{-1} = c L / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
             return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
-        r0, r1 = list(_cyclotomic_coeffs(self.order)), list(_strip(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _strip(r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = _poly_mul_frac(q, s1)
-            new_s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs1):
-                new_s[i] -= c
-            s0, s1 = s1, list(_strip(new_s))
-        g = _strip(r0)
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        inv = [c / g[0] for c in s0]
-        return CyclotomicNumber(self.order, _reduce_mod_cyclotomic(inv, self.order))
+        k = self.order
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        base = [(i, c.numerator * (scale // c.denominator)) for i, c in enumerate(self.coeffs) if c]
+
+        def times_conjugate(left: list, j: int) -> list:
+            out = [0] * k
+            for i, b in base:
+                shift = i * j % k
+                for e, v in enumerate(left):
+                    if v:
+                        m = shift + e
+                        out[m - k if m >= k else m] += v * b
+            return out
+
+        conj = [1] + [0] * (k - 1)
+        for j in range(2, k):
+            if math.gcd(j, k) == 1:
+                conj = times_conjugate(conj, j)
+        norm = _reduce_mod_cyclotomic(times_conjugate(conj, 1), k)
+        if any(norm[1:]):
+            raise ArithmeticError(f"the norm of {self} is not rational")
+        return CyclotomicNumber(
+            k, tuple(Fraction(c * scale, norm[0]) for c in _reduce_mod_cyclotomic(conj, k))
+        )
 
     def __truediv__(self, other) -> CyclotomicNumber:
         if isinstance(other, CyclotomicNumber):
@@ -431,10 +414,7 @@ def cyc_root(k: int, t: int) -> CyclotomicNumber:
     """zeta_k^t in canonical form (t reduced mod k, then mod Phi_k)."""
     if k < 1:
         raise ValueError("k must be positive")
-    t %= k
-    raw = [Fraction(0)] * (t + 1)
-    raw[t] = Fraction(1)
-    return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
+    return _root_sum(k, ((t, Fraction(1)),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from twistsum.exact import (
     PolynomialX,
     TruncatedSeries,
     _cyclotomic_coeffs,
-    _poly_divmod_frac,
     _reduce_mod_cyclotomic,
     _reduction_rows,
     cyc_root,
@@ -25,6 +24,43 @@ F = Fraction
 
 def poly_of(*rationals):
     return PolynomialX.from_coeffs(list(rationals), 1)
+
+
+# Long division and the plain product of dense Fraction polynomials
+# (little-endian), the references that the integer kernels are checked against.
+# The divisor's leading coefficient is inverted as a Fraction, so an integer
+# divisor such as Phi_k keeps the quotient exact.
+
+def _strip(coeffs):
+    end = len(coeffs)
+    while end > 0 and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _poly_divmod_frac(num, den):
+    den = list(_strip(den))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num)
+    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    inv_lead = Fraction(1) / den[-1]
+    for i in range(len(rem) - len(den), -1, -1):
+        c = rem[i + len(den) - 1] * inv_lead
+        if c:
+            quot[i] = c
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    return quot, list(_strip(rem))
+
+
+def convolve(a, b):
+    """The coordinates of the product of two polynomials, with no reduction."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 class TestCyclotomicPolynomial:
@@ -58,6 +94,20 @@ class TestCyclotomicPolynomial:
         for k in (1, 2, 6, 9, 10, 30):
             assert cyclotomic_polynomial(k).degree() == euler_phi(k)
 
+    def test_integer_coefficients_equal_long_division(self):
+        # Phi_k = (x^k - 1) / prod_{d | k, d < k} Phi_d, every Phi_d built here by long division
+        reference = {}
+        for k in range(1, 121):
+            den = [F(1)]
+            for d in range(1, k):
+                if k % d == 0:
+                    den = convolve(den, reference[d])
+            quot, rem = _poly_divmod_frac([F(-1)] + [F(0)] * (k - 1) + [F(1)], den)
+            assert rem == [], k
+            reference[k] = quot
+            coeffs = _cyclotomic_coeffs(k)
+            assert all(type(c) is int for c in coeffs) and list(coeffs) == quot, k
+
 
 def division_remainder(coeffs, k):
     """The phi(k) coordinates of coeffs mod Phi_k, by long division."""
@@ -90,21 +140,22 @@ class TestReductionTable:
                 assert _reduce_mod_cyclotomic(coeffs, k) == division_remainder(coeffs, k), (k, length)
 
     def test_products_and_roots_do_not_divide(self, monkeypatch):
+        # every reduction, the inverse's included, reads the cached integer rows, never Phi_k
         from twistsum.twisted_c import CPolySpec, c_poly
 
+        a = cyc_root(7, 3) + F(2, 5) * cyc_root(7, 2) - 1
+        expected_inverse = a.inverse()
         expected_product = cyc_root(7, 3) * cyc_root(7, 5)
         expected_root = cyc_root(12, 11)
         expected_poly = c_poly(CPolySpec(9, 12, 5))
-        for k in (7, 12):
-            _cyclotomic_coeffs(k)
-            _reduction_rows(k)
 
         def no_division(*args):
-            raise AssertionError("a product was reduced by long division")
+            raise AssertionError("a product, root or inverse went back to Phi_k")
 
-        monkeypatch.setattr(exact, "_poly_divmod_frac", no_division)
+        monkeypatch.setattr(exact, "_cyclotomic_coeffs", no_division)
         assert cyc_root(7, 3) * cyc_root(7, 5) == expected_product == cyc_root(7, 1)
         assert cyc_root(12, 11) == expected_root
+        assert a.inverse() == expected_inverse and a * expected_inverse == 1
         assert c_poly(CPolySpec(9, 12, 5)) == expected_poly
 
 
@@ -176,7 +227,7 @@ class TestCyclotomicNumber:
         def no_field_product(*args):
             raise AssertionError("a rational operand went through the field product")
 
-        monkeypatch.setattr(exact, "_poly_mul_frac", no_field_product)
+        monkeypatch.setattr(exact, "_sum_products", no_field_product)
         two_thirds_z = CyclotomicNumber(7, (F(0), F(0), F(0), F(2, 3), F(0), F(0)))
         assert z * F(2, 3) == two_thirds_z
         assert F(2, 3) * z == two_thirds_z
@@ -203,15 +254,17 @@ class TestCyclotomicNumber:
 
     def test_field_inverse_random(self):
         rng = random.Random(5)
-        for _ in range(40):
-            k = rng.randint(1, 12)
+        orders = [rng.randint(1, 72) for _ in range(40)] + [13, 41, 60, 61, 72]
+        for k in orders:
             coeffs = tuple(
                 F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(k))
             )
             a = CyclotomicNumber(k, coeffs)
             if a.is_zero():
                 continue
-            assert a * a.inverse() == CyclotomicNumber.one(k)
+            inv = a.inverse()
+            assert all(type(c) is F for c in inv.coeffs), k
+            assert a * inv == CyclotomicNumber.one(k), k
 
     def test_embedding_homomorphism(self):
         rng = random.Random(11)
@@ -334,7 +387,7 @@ def count_calls(monkeypatch, name):
 
 
 class TestSumKernels:
-    """The sum of products and the rotation sum against per-product arithmetic.
+    """The sum of products against convolution and long division, and the rotation sum against products.
 
     k runs through 30, so the orders include k = 7, where a product's raw
     degree 2 phi - 2 exceeds k - 1, and k = 30, where phi < k / 2.
@@ -346,12 +399,15 @@ class TestSumKernels:
             for n in (1, 2, 6):
                 terms = [(rng.randint(1, 40), random_number(rng, k), random_number(rng, k)) for _ in range(n)]
                 terms.append((3, CyclotomicNumber.zero(k), random_number(rng, k)))
-                expected = CyclotomicNumber.zero(k)
+                raw = [F(0)] * (2 * euler_phi(k) - 1)
                 for c, a, b in terms:
-                    expected = expected + a * b * c
+                    product = convolve(a.coeffs, b.coeffs)
+                    assert (a * b).coeffs == division_remainder(product, k), (k, n)
+                    raw = [x + c * y for x, y in zip(raw, product)]
                 got = exact._sum_products(terms)
-                assert (got.order, got.coeffs) == (expected.order, expected.coeffs), (k, n)
+                assert got.order == k and got.coeffs == division_remainder(raw, k), (k, n)
                 assert all(type(c) is F for c in got.coeffs)
+                assert all(type(c) is F for c in (terms[0][1] * terms[0][2]).coeffs)
 
     def test_sum_of_products_on_fractions(self):
         rng = random.Random(29)
@@ -402,7 +458,7 @@ class TestSumKernels:
 
         spec = SumSpec.of((1, 2, 3), (2, 1, 3), F(2, 3), 9, 5, 2)
         assert closed_sum(spec) == brute_sum(spec)  # also fills the cyclotomic caches
-        products = count_calls(monkeypatch, "_poly_mul_frac")
+        products = count_calls(monkeypatch, "_sum_products")
         gen_euler_poly(spec.s, spec.twist, spec.A)
         build = products[0]
         products[0] = 0
