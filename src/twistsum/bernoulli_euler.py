@@ -19,9 +19,12 @@ built.  For the generalized Euler numbers that EGF is the twisted product
 expanded over the corner subsets S of the weights,
 2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with d_S = sum_{l in S} a_l --
 the inclusion-exclusion that the closed form of :mod:`twistsum.powersum`
-walks -- and it is inverted once.  The x-dependence of every generating
-function above is the factor e^{xz} alone, so each polynomial is the binomial
-assembly of its numbers,
+walks -- and it is inverted once.  2^r times each Taylor value of that EGF
+is an integer combination of the k-th roots of unity, so it is summed in
+integers, one accumulator per power of zeta, reduced once modulo Phi_k and
+scaled once by 2^{-r}.  The x-dependence of every generating function above
+is the factor e^{xz} alone, so each polynomial is the binomial assembly of
+its numbers,
 
     P_m(x) = sum_i C(m, i) P_{m-i} x^i.
 """
@@ -40,6 +43,7 @@ from .exact import (
     CyclotomicNumber,
     PolynomialX,
     RationalLike,
+    _root_sum,
     as_fraction,
     binomial_convolve,
     binomial_inverse,
@@ -98,17 +102,27 @@ class WeightVector:
     def __iter__(self):
         return iter(self.entries)
 
-    def corners(self, N: Sequence[int]):
-        """Yield (indices, A_S.(N_S+1), (-1)^{|S|}) for every subset S of the axes.
+    def corners(self, N: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+        """(indices, A_S.(N_S+1), (-1)^{|S|}) for every subset S of the axes.
 
         These are the 2^r corner terms of inclusion-exclusion over the box
-        0 <= M <= N; subsets come in bitmask order, the empty one first.
+        0 <= M <= N; subsets come in bitmask order, the empty one first.  The
+        limits are checked as by :meth:`dot_counts`, before any corner is made.
         """
+        self._require_limits(N)
         r = len(self.entries)
+        out = []
         for mask in range(1 << r):
             indices = tuple(i for i in range(r) if mask >> i & 1)
             shift = sum(self.entries[i] * (N[i] + 1) for i in indices)
-            yield indices, shift, -1 if len(indices) % 2 else 1
+            out.append((indices, shift, -1 if len(indices) % 2 else 1))
+        return out
+
+    def _require_limits(self, N: Sequence[int]) -> None:
+        if len(N) != len(self.entries):
+            raise ValueError("limits and weights must have the same length")
+        if any(n < 0 for n in N):
+            raise ValueError("limits must be nonnegative")
 
     def dot_counts(self, N: Sequence[int]) -> list[int]:
         """counts[d] = #{M : 0 <= M <= N, A.M = d} for d = 0..A.N.
@@ -119,10 +133,7 @@ class WeightVector:
         window sums are its prefix sums P, held at their last value for the
         N_i places past the input, minus P taken N_i + 1 places back.
         """
-        if len(N) != len(self.entries):
-            raise ValueError("limits and weights must have the same length")
-        if any(n < 0 for n in N):
-            raise ValueError("limits must be nonnegative")
+        self._require_limits(N)
         counts = [1]
         for a, n in zip(self.entries, N):
             out = [0] * (len(counts) + a * n)
@@ -241,16 +252,25 @@ def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]
     closed form walks (``corners`` of the zero box): it equals
     2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with d_S = sum_{l in S} a_l,
     so its Taylor values are D_n = 2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} d_S^n.
+    For each n the integers (-1)^{|S|} d_S^n are added into the accumulator
+    of the power zeta^{t d_S mod k}; the k accumulators are reduced once
+    modulo Phi_k (``exact._root_sum``) and each coordinate is scaled by
+    2^{-r}, so no root of unity is built and no field product is taken.
     The numbers are the EGF inverse of the D_n, whose only field inverse is 1/D_0.
     """
     A = _as_weights(A)
     A.require_admissible(twist)
     if m_max < 0:
         raise ValueError("truncation order must be nonnegative")
-    values = [CyclotomicNumber.zero(twist.k)] * (m_max + 1)
-    for _, d, sign in A.corners((0,) * len(A)):
-        root = twist.root(d) * Fraction(sign, 2 ** len(A))
-        values = [v + root * d**n for n, v in enumerate(values)]
+    k, scale = twist.k, Fraction(1, 2 ** len(A))
+    corners = [(twist.t * d % k, d, sign) for _, d, sign in A.corners((0,) * len(A))]
+    values = []
+    for n in range(m_max + 1):
+        residues = [0] * k
+        for e, d, sign in corners:
+            residues[e] += sign * d**n
+        total = _root_sum(k, enumerate(residues))
+        values.append(CyclotomicNumber(k, tuple(c * scale for c in total.coeffs)))
     return binomial_inverse(values)
 
 

@@ -25,7 +25,12 @@ inverse use).  A root of unity zeta^e acts by rotating coordinates, moving
 the coordinate at zeta^i to zeta^{(e+i) mod k}, so a sum of numbers times
 roots is one raw sum over the k powers of zeta and one reduction, with no
 field product (:func:`_root_sum`).  A single product is the same kernel on
-one term, and a single root is the same rotation on one rational.
+one term, and a single root is the same rotation on one rational.  A
+polynomial is evaluated at a rational p/q by Horner's rule on integer
+vectors, over the common denominator of all its coordinates and the powers
+of q, with one division per coordinate at the end
+(:meth:`PolynomialX.eval_exact`): evaluation takes no field product and
+builds no number until its value.
 
 Nothing divides polynomials.  Phi_k is built in integers, by synthetic
 division of x^k - 1 by the monic Phi_d of the proper divisors d of k.  The
@@ -422,8 +427,13 @@ def cyc_root(k: int, t: int) -> CyclotomicNumber:
 # ---------------------------------------------------------------------------
 
 def _as_cyclotomic(value, order: int) -> CyclotomicNumber:
+    """``value`` as a number of ``order``; a number of another order must be rational."""
     if isinstance(value, CyclotomicNumber):
-        return value
+        if value.order == order:
+            return value
+        if not value.is_rational():
+            raise TypeError(f"a number of order {value.order} as a coefficient of order {order}")
+        value = value.coeffs[0]
     return CyclotomicNumber.from_rational(value, order)
 
 
@@ -441,6 +451,12 @@ class PolynomialX:
 
     @staticmethod
     def from_coeffs(values: Sequence, order: int = 1) -> PolynomialX:
+        """The polynomial sum_i values[i] x^i of the field Q(zeta_order).
+
+        Each value is a rational or a number; a number of another order is
+        re-expressed at ``order`` when it is rational, and raises TypeError
+        when it is not.
+        """
         cs = [_as_cyclotomic(v, order) for v in values]
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -458,12 +474,27 @@ class PolynomialX:
         return CyclotomicNumber.zero(self.order)
 
     def eval_exact(self, x: RationalLike) -> CyclotomicNumber:
-        """Horner evaluation at a rational point; result stays in Q(zeta_k)."""
+        """The value at a rational x = p/q, by Horner's rule in integers, in Q(zeta_k).
+
+        With L the common denominator of every coordinate of every
+        coefficient c_i and d the degree, q^d L P(p/q) = sum_i (L c_i) p^i
+        q^{d-i} has integer coordinates: Horner runs acc <- acc p +
+        (L c_i) q^{d-i} on integer vectors, and each coordinate is divided
+        once by L q^d.  No number is built until the value.
+        """
         xq = as_fraction(x)
-        acc = CyclotomicNumber.zero(self.order)
-        for c in reversed(self.coeffs):
-            acc = acc * xq + c
-        return acc
+        if not self.coeffs:
+            return CyclotomicNumber.zero(self.order)
+        p, q = xq.numerator, xq.denominator
+        scale = math.lcm(*(c.denominator for coeff in self.coeffs for c in coeff.coeffs))
+        acc = [0] * len(self.coeffs[0].coeffs)
+        q_power = 1
+        for coeff in reversed(self.coeffs):
+            lift = scale * q_power
+            acc = [a * p + c.numerator * (lift // c.denominator) for a, c in zip(acc, coeff.coeffs)]
+            q_power *= q
+        denominator = scale * (q_power // q)
+        return CyclotomicNumber(self.order, tuple(Fraction(a, denominator) for a in acc))
 
     def eval_complex(self, x: complex) -> complex:
         acc = 0j

@@ -334,15 +334,12 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     share one star table.
     """
     r = len(spec.A)
-    if len(N) != r:
-        raise ValueError("limits and weights must have the same length")
-    if any(n < 0 for n in N):
-        raise ValueError("limits must be nonnegative")
+    corners = spec.A.corners(N)  # checks the limits before any work
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
     total = zeta_accelerated(spec, tol=tol)
     stars = _stars(spec)
-    for indices, shift, sign in spec.A.corners(N):
+    for indices, shift, sign in corners:
         if indices:
             total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift), stars)
     return total / (2**r)

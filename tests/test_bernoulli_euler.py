@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistsum import bernoulli_euler
+from twistsum import bernoulli_euler, exact
 from twistsum.bernoulli_euler import (
     SingularTwistError,
     TwistSpec,
@@ -87,6 +87,17 @@ def gen_euler_by_factors(m_max, twist, A):
         prod = prod * TruncatedSeries.from_coeffs(coeffs, m_max, twist.k)
     series = prod.inverse().scale(2 ** len(A))
     return [series.taylor_value(m) for m in range(m_max + 1)]
+
+
+def corner_values_by_roots(m_max, twist, A):
+    """D_0..D_m_max, D_n = 2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} d_S^n, one whole number per
+    corner and order: each corner's root times sign/2^r, times d_S^n, added into
+    D_n.  The reference that the integer corner sums of the build must match."""
+    values = [CyclotomicNumber.zero(twist.k)] * (m_max + 1)
+    for _, d, sign in WeightVector(tuple(A)).corners((0,) * len(A)):
+        root = twist.root(d) * F(sign, 2 ** len(A))
+        values = [v + root * d**n for n, v in enumerate(values)]
+    return values
 
 
 def bernoulli_by_series(n_max):
@@ -338,6 +349,53 @@ class TestCornerExpansion:
                 d0 = math.prod(1 - twist.root(a) for a in A) * F(1, 2 ** len(A))
                 assert inverses == [d0], (build.__name__, A)
 
+    @staticmethod
+    def corner_values(monkeypatch, m_max, twist, A):
+        """The Taylor values the build inverts: the build with its inverse replaced by the identity."""
+        with monkeypatch.context() as patch:
+            patch.setattr(bernoulli_euler, "binomial_inverse", list)
+            return gen_euler_numbers(m_max, twist, A)
+
+    def test_integer_corner_sums_equal_root_products(self, monkeypatch):
+        rng = random.Random(43)
+        for k, r in itertools.product(range(2, 31), range(1, 5)):
+            while True:
+                twist = TwistSpec(k, rng.randrange(1, k))
+                A = [rng.randint(1, 9) for _ in range(r)]
+                if r >= 2 and rng.random() < 0.3:
+                    A[-1] = A[0]
+                if WeightVector(tuple(A)).admissible_for(twist):
+                    break
+            got = self.corner_values(monkeypatch, 24, twist, A)
+            want = corner_values_by_roots(24, twist, A)
+            assert literal(got) == literal(want), (twist, A)
+            assert all(type(c) is F for v in got for c in v.coeffs), (twist, A)
+
+    def test_corner_sums_take_no_root_and_no_product(self, monkeypatch):
+        cases = [(ALT, (1, 3, 5)), (TwistSpec(7, 3), (1, 2, 4, 5)), (TwistSpec(12, 5), (1, 1, 7))]
+        want = [corner_values_by_roots(20, twist, A) for twist, A in cases]
+        numbers = [gen_euler_numbers(20, twist, A) for twist, A in cases]  # warms every cache
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(TwistSpec, "root", counting("root", TwistSpec.root))
+        monkeypatch.setattr(bernoulli_euler, "cyc_root", counting("cyc_root", bernoulli_euler.cyc_root))
+        monkeypatch.setattr(exact, "cyc_root", counting("cyc_root", exact.cyc_root))
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counting("mul", CyclotomicNumber.__mul__))
+        monkeypatch.setattr(CyclotomicNumber, "__rmul__", counting("mul", CyclotomicNumber.__rmul__))
+        got = [self.corner_values(monkeypatch, 20, twist, A) for twist, A in cases]
+        assert not calls, calls
+        assert [literal(v) for v in got] == [literal(v) for v in want]
+        # the whole build, inverse included, builds no root either
+        assert [gen_euler_numbers(20, twist, A) for twist, A in cases] == numbers
+        assert calls["root"] == calls["cyc_root"] == 0
+
     def test_negative_order_rejected(self):
         for build in (gen_euler_numbers, gen_euler_poly):
             with pytest.raises(ValueError, match="truncation order must be nonnegative"):
@@ -436,3 +494,26 @@ class TestDotCounts:
             WeightVector.of(1, 2).dot_counts((3,))
         with pytest.raises(ValueError):
             WeightVector.of(1).dot_counts((-1,))
+
+    @pytest.mark.parametrize(
+        "N, message",
+        [
+            ((1, 2, 3), "limits and weights must have the same length"),
+            ((3,), "limits and weights must have the same length"),
+            ((), "limits and weights must have the same length"),
+            ((2, -1), "limits must be nonnegative"),
+        ],
+    )
+    def test_corners_check_limits_as_dot_counts_does(self, N, message):
+        A = WeightVector.of(1, 2)
+        for method in (A.dot_counts, A.corners):
+            with pytest.raises(ValueError, match=message):
+                method(N)
+
+    def test_corners(self):
+        assert WeightVector.of(2, 3).corners((4, 1)) == [
+            ((), 0, 1),
+            ((0,), 10, -1),
+            ((1,), 6, -1),
+            ((0, 1), 16, 1),
+        ]

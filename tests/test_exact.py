@@ -311,6 +311,89 @@ class TestPolynomialX:
         exact = p.eval_exact(F(7, 4)).embed()
         assert abs(p.eval_complex(1.75) - exact) < 1e-12
 
+    def test_from_coeffs_takes_rationals_of_any_order_and_refuses_other_fields(self):
+        values = [cyc_root(6, 3), CyclotomicNumber.from_rational(F(3, 4)), cyc_root(7, 2)]
+        p = PolynomialX.from_coeffs(values, 7)
+        want = [CyclotomicNumber.from_rational(-1, 7), CyclotomicNumber.from_rational(F(3, 4), 7), cyc_root(7, 2)]
+        assert [(c.order, c.coeffs) for c in p.coeffs] == [(c.order, c.coeffs) for c in want]
+        assert p.eval_exact(F(2, 3)).order == 7
+        with pytest.raises(TypeError, match="order 5"):
+            PolynomialX.from_coeffs([cyc_root(5, 1)], 7)
+        with pytest.raises(TypeError, match="order 5"):
+            TruncatedSeries.from_coeffs([1, cyc_root(5, 1)], 3, 7)
+
+
+def horner_by_numbers(poly, x):
+    """P(x) by Horner's rule on whole numbers, a product and a sum per step: the
+    reference that the integer Horner of ``eval_exact`` must match literally."""
+    acc = CyclotomicNumber.zero(poly.order)
+    for c in reversed(poly.coeffs):
+        acc = acc * F(x) + c
+    return acc
+
+
+class TestIntegerHorner:
+    """``eval_exact`` runs Horner's rule on integer vectors over one common denominator."""
+
+    POINTS = (F(0), F(5), F(7, 3), F(-3, 4))
+
+    @staticmethod
+    def assert_literal(got, want, case):
+        assert (got.order, got.coeffs) == (want.order, want.coeffs), case
+        assert all(type(c) is F for c in got.coeffs), case
+
+    def test_random_polynomials(self):
+        rng = random.Random(61)
+        for k in range(1, 31):
+            for degree in (-1, 0, 1, rng.randint(2, 24), 24):
+                coeffs = [random_number(rng, k) if rng.random() < 0.85 else 0 for _ in range(degree + 1)]
+                poly = PolynomialX.from_coeffs(coeffs, k)
+                for x in self.POINTS:
+                    self.assert_literal(poly.eval_exact(x), horner_by_numbers(poly, x), (k, degree, x))
+
+    def test_zero_polynomial(self):
+        for k in (1, 2, 7, 30):
+            zero = PolynomialX.from_coeffs([0, CyclotomicNumber.zero(k)], k)
+            assert zero.is_zero()
+            for x in self.POINTS + (3,):
+                self.assert_literal(zero.eval_exact(x), CyclotomicNumber.zero(k), (k, x))
+
+    def test_generalized_euler_polynomials(self):
+        from twistsum.bernoulli_euler import TwistSpec, WeightVector, gen_euler_poly
+
+        # every k <= 30 once, the number of weights r cycling through 1..4
+        rng = random.Random(67)
+        for k in range(2, 31):
+            r = 1 + k % 4
+            while True:
+                twist = TwistSpec(k, rng.randrange(1, k))
+                A = tuple(rng.randint(1, 9) for _ in range(r))
+                if WeightVector(A).admissible_for(twist):
+                    break
+            m = 24 if k in (7, 12, 30) else rng.randint(0, 24)
+            poly = gen_euler_poly(m, twist, A)
+            for x in self.POINTS:
+                self.assert_literal(poly.eval_exact(x), horner_by_numbers(poly, x), (m, twist, A, x))
+
+    def test_takes_no_number_product(self, monkeypatch):
+        rng = random.Random(71)
+        polys = [PolynomialX.from_coeffs([random_number(rng, k) for _ in range(9)], k) for k in (1, 5, 12)]
+        want = [[horner_by_numbers(p, x) for x in self.POINTS] for p in polys]
+        products = [0]
+
+        def counting(original):
+            def wrapper(a, b):
+                products[0] += 1
+                return original(a, b)
+
+            return wrapper
+
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counting(CyclotomicNumber.__mul__))
+        monkeypatch.setattr(CyclotomicNumber, "__rmul__", counting(CyclotomicNumber.__rmul__))
+        got = [[p.eval_exact(x) for x in self.POINTS] for p in polys]
+        assert products[0] == 0
+        assert got == want
+
 
 class TestTruncatedSeries:
     def test_mul_examples(self):

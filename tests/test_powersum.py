@@ -125,6 +125,29 @@ class TestClosedSum:
         for arg in (0, 151, 303, 454):
             assert values[str(arg)]["coeffs"] == [str(poly(F(arg)))]
 
+    def test_trace_rows_reproduce_the_closed_form(self):
+        # each row's Euler value times zeta^root_power, signed, summed and divided by 2^r
+        from twistsum.exact import cyc_root
+
+        rng = random.Random(47)
+        for k, r in itertools.product((2, 3, 5, 7, 12), range(1, 5)):
+            while True:
+                A = tuple(rng.randint(1, 9) for _ in range(r))
+                twist = TwistSpec(k, rng.randrange(1, k))
+                if WeightVector(A).admissible_for(twist):
+                    break
+            N = tuple(rng.randint(0, 5) for _ in range(r))
+            x = F(rng.randint(0, 9), rng.randint(1, 4))
+            spec = SumSpec(WeightVector(A), N, x, rng.randint(0, 9), twist)
+            rows = closed_sum_trace(spec)
+            assert len(rows) == 2**r
+            total = CyclotomicNumber.zero(k)
+            for row in rows:
+                value = CyclotomicNumber.from_json_obj(row["euler_value"])
+                total = total + cyc_root(k, row["root_power"]) * value * row["sign"]
+            got, want = total * F(1, 2**r), closed_sum(spec)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs), spec
+
     def test_alternating_count(self):
         for n in range(7):
             spec = SumSpec.of((1,), (n,), 0, 0, 2, 1)
