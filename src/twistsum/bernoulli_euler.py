@@ -203,14 +203,27 @@ def bernoulli_poly(n: int) -> PolynomialX:
 
 
 def _bernoulli_value(n: int, y: Fraction) -> Fraction:
-    """B_n(y) at a rational y, by Horner over sum_i C(n, i) B_{n-i} y^i in rationals."""
+    """B_n(y) at a rational y, by Horner's rule in integers (:func:`_bernoulli_ratio`)."""
+    return Fraction(*_bernoulli_ratio(n, y.numerator, y.denominator))
+
+
+def _bernoulli_ratio(n: int, a: int, b: int) -> tuple[int, int]:
+    """(N, D) with B_n(a/b) = N/D for integers a and b > 0; the ratio is not reduced.
+
+    With L the common denominator of B_0..B_n, D = L b^n and N is the integer
+    sum_i C(n, i) (L B_{n-i}) a^i b^{n-i}, accumulated by Horner's rule from
+    i = n down.
+    """
     numbers = bernoulli_numbers(n)
-    acc = Fraction(0)
+    common = math.lcm(*(c.denominator for c in numbers))
+    acc, scale = 0, 1  # scale = b^{n-i}
     for i in range(n, -1, -1):
-        acc *= y
-        if numbers[n - i]:  # B_j = 0 for odd j >= 3
-            acc += math.comb(n, i) * numbers[n - i]
-    return acc
+        acc *= a
+        c = numbers[n - i]
+        if c:  # B_j = 0 for odd j >= 3
+            acc += math.comb(n, i) * c.numerator * (common // c.denominator) * scale
+        scale *= b
+    return acc, common * (scale // b)
 
 
 def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:

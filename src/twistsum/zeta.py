@@ -7,9 +7,12 @@ For weights A_r, twist root zeta_k^t and shift x >= 0,
 ``s`` in :class:`ZetaSpec` is always this decay order; the summand exponent
 of the polynomial formulations is sigma = -s.  ``zeta_direct`` evaluates the
 blocked partial sum in the convergent regime; ``zeta_accelerated`` evaluates
-the analytic continuation by an iterated, twist-weighted Euler transformation
-applied axis by axis, which sums both the slowly convergent and the
-polynomially divergent (sigma a nonnegative integer) regimes.
+the analytic continuation.  At an integer order s = -m <= 0 the continuation
+is exact: the lattice-point count c_d = #{M : A.M = d} is a quasi-polynomial
+in d, so Z(-m, x) is a finite sum of Hurwitz values -B_{n+1}(v)/(n+1) in
+Q(zeta_k), embedded once.  Every other order takes an iterated,
+twist-weighted Euler transformation applied axis by axis, which returns a
+value only within its tolerance and otherwise raises with its best estimate.
 
 ``zeta_asymptotic`` evaluates the closed-form main term
 
@@ -30,10 +33,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
-from .exact import as_fraction, roots_of_unity
+from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, _bernoulli_ratio, gen_euler_poly
+from .exact import CyclotomicNumber, _root_sum, as_fraction, roots_of_unity
 from .twisted_c import _c_star_s_from_table, _star_table, c_star, pochhammer
 
 
@@ -178,6 +182,9 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
 # iterated twist-weighted Euler transformation
 # ---------------------------------------------------------------------------
 
+_ACCEL_TERMS = 56  # the default terms per axis of the nested transformation
+
+
 def _require_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
@@ -196,14 +203,12 @@ def _accelerate(
     column keeps the latest entry of every pass, and the step at S_{n-1-p}
     yields pass p's last value.  Pass p thus costs p products, O(n + P^2) in
     all for P passes, with the same float operations as building every pass
-    in full.  Convergence is declared when successive pass values stop moving
-    relative to the tolerance -- or relative to the rounding-noise floor of
-    the largest partial sum, which is the resolution limit for
-    divergent-polynomial inputs whose partial sums dwarf the limit.  Returns
-    (value, achieved, converged).
+    in full.  Convergence is declared when two successive pass values stay
+    within ``tol * (1 + |value|)``; a pair that agrees only to the rounding
+    noise of large partial sums does not count.  Returns (value, achieved,
+    converged), with the best estimate and its delta when not converged.
     """
     sums = list(itertools.accumulate(terms, initial=0j))[1:]
-    noise_floor = 4.0 * math.ulp(1.0) * max(map(abs, sums))
     best, best_delta = sums[-1], math.inf
     prev = None
     stable = 0
@@ -219,7 +224,7 @@ def _accelerate(
             delta = abs(value - prev)
             if delta < best_delta:
                 best, best_delta = value, delta
-            if delta <= max(tol * (1.0 + abs(value)), noise_floor):
+            if delta <= tol * (1.0 + abs(value)):
                 stable += 1
                 if stable >= 2:
                     return value, delta, True
@@ -230,29 +235,107 @@ def _accelerate(
 
 
 def zeta_accelerated(
-    spec: ZetaSpec, tol: float = 1e-10, terms_per_axis: int = 56
+    spec: ZetaSpec, tol: float = 1e-10, terms_per_axis: int = _ACCEL_TERMS
 ) -> complex:
-    """Analytic-continuation value via the iterated Euler transformation.
+    """The analytic continuation Z(s, x): exact at integer orders s = -m <= 0,
+    and otherwise the iterated Euler transformation.
 
+    At s = -m the value is computed exactly in Q(zeta_k) and embedded once
+    (:func:`_integer_order_value`); ``tol`` and ``terms_per_axis`` do not
+    affect it.  An order whose terms would overflow on the float path's box
+    is refused first, with the complex power's OverflowError.
+
+    Every other order takes the nested transformation (:func:`_transform`).
     Re(s) may be nonpositive; polynomially growing blocked terms are the
     classical convergence regime of the transformation.  For r >= 2 the axes
     are accelerated one at a time, innermost first, each inner axis to a
-    tenth of the tolerance of the axis around it.  At a real non-integer
-    order with a positive shift the innermost terms take float powers, which
-    give bit for bit the values of the complex power; integer and complex
-    orders, and the terms at shift 0, take the complex power.
+    tenth of the tolerance of the axis around it.  At a real order with a
+    positive shift the innermost terms take float powers, which give bit for
+    bit the values of the complex power; complex orders, and the terms at
+    shift 0, take the complex power.  An axis counts as converged when two
+    successive pass values stay within its tolerance; otherwise
+    :class:`AccelerationError` carries the best estimate and the error
+    achieved.
 
-    An axis counts as converged when two successive pass values stay within
-    its tolerance, or within the rounding-noise floor of its largest partial
-    sum; that floor can lie above ``tol``, so a returned value is not always
-    within ``tol``.  Raises :class:`AccelerationError` with the best estimate
-    when an axis meets neither, and ValueError before any work unless ``tol``
-    is finite and positive and ``terms_per_axis`` leaves at least one pass
-    (two terms).
+    Raises ValueError before any work unless ``tol`` is finite and positive
+    and ``terms_per_axis`` leaves at least one pass (two terms).
     """
     _require_tol(tol)
     if terms_per_axis < 2:
         raise ValueError("terms_per_axis must be at least 2")
+    if spec.s.imag == 0 and spec.s.real <= 0 and spec.s.real.is_integer():
+        # the float path's last term, at the largest base x + sum_l a_l (T - 1)
+        # of its box, raises its OverflowError here; the box is never taken
+        # shorter than the default, so a short one cannot admit an order whose
+        # exact value costs like m^2
+        terms = max(terms_per_axis, _ACCEL_TERMS)
+        _term_power(spec.x + sum(a * (terms - 1) for a in spec.A.entries), -spec.s)
+        return _integer_order_value(spec).embed()
+    return _transform(spec, tol, terms_per_axis)
+
+
+def _integer_order_value(spec: ZetaSpec) -> CyclotomicNumber:
+    """Z(-m, x) exactly in Q(zeta_k), from the denumerant and Bernoulli values.
+
+    The count c_d = #{M >= 0 : A.M = d} is a quasi-polynomial in d of degree
+    r - 1 whose period divides lcm(A) (Sylvester's denumerant), and the twist
+    zeta^{td} has period k, so with P = lcm(k, A) each residue j < P has
+    c_{j+Pn} = sum_l b_{j,l} (n + v_j)^l, v_j = (x + j)/P.  The b_{j,l} are
+    fitted to the counts at n = 0..r-1 (:meth:`WeightVector.dot_counts`),
+    and with zeta(-n, v) = -B_{n+1}(v)/(n+1),
+
+        Z(-m, x) = 2^r P^m sum_j zeta^{tj} sum_l b_{j,l} (-B_{m+l+1}(v_j)/(m+l+1)),
+
+    with the factor 2^r P^m taken into each term and the terms summed through
+    one reduction modulo Phi_k (``exact._root_sum``).  The float shift enters
+    exactly, as its integer ratio p/q, so v_j = (p + jq)/(qP).
+    """
+    m = -int(spec.s.real)
+    k, t = spec.twist.k, spec.twist.t
+    weights = spec.A.entries
+    r = len(weights)
+    period = math.lcm(k, *weights)
+    counts = spec.A.dot_counts([period * r // a for a in weights])
+    p, q = spec.x.as_integer_ratio()
+    scale = 2**r * period**m
+    terms = []
+    for j in range(period):
+        a, b = p + j * q, q * period  # v_j = a/b
+        for l, c in enumerate(_shifted_fit(counts[j : period * r : period], a, b)):
+            if c:
+                n = m + l + 1
+                num, den = _bernoulli_ratio(n, a, b)
+                terms.append((t * j, Fraction(-scale * c.numerator * num, c.denominator * den * n)))
+    return _root_sum(k, terms)
+
+
+def _shifted_fit(values: Sequence[int], a: int, b: int) -> list:
+    """b_0..b_{n-1} with values[i] = sum_l b_l (i + v)^l for i < n = len(values), v = a/b.
+
+    Newton's forward form p(i) = sum_d Delta^d p(0) C(i, d), with each
+    C(i, d) = prod_{q<d} (u - v - q)/d! expanded in powers of u = i + v.
+    """
+    n = len(values)
+    coeffs = [0] * n
+    basis = [1]  # C(i, d) in powers of u
+    diffs = list(values)
+    for d in range(n):
+        if diffs[0]:
+            for l, c in enumerate(basis):
+                coeffs[l] += diffs[0] * c
+        if d + 1 < n:
+            diffs = [y - z for z, y in zip(diffs, diffs[1:])]
+            root = Fraction(a + d * b, b)
+            basis = [(hi - root * lo) / (d + 1) for hi, lo in zip([0] + basis, basis + [0])]
+    return coeffs
+
+
+def _transform(spec: ZetaSpec, tol: float, terms_per_axis: int) -> complex:
+    """The nested Euler transformation of :func:`zeta_accelerated`, at any order.
+
+    ``zeta_accelerated`` takes it at non-integer and complex orders; at an
+    integer order it is the float check of the exact value.
+    """
     k = spec.twist.k
     weights = spec.A.entries
     r = len(weights)
@@ -392,10 +475,13 @@ class ContinuationReport:
 def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> ContinuationReport:
     """Compare Z(-m, c) against E_m(c, j; A_r) exactly evaluated.
 
-    The continuation convention validated by the brute-force power-sum oracle
-    carries no extra exponential factor; the alternative normalization
-    E_m(c)/e^{jc} is measured and reported alongside it.  Raises ValueError
-    before any work unless ``tol`` is finite and positive.
+    Both sides are exact and independent: :func:`zeta_accelerated` sums
+    Bernoulli values over the lattice-point counts, and E_m(c, j; A_r) is the
+    generalized Euler build evaluated by Horner's rule.  The continuation
+    convention validated by the brute-force power-sum oracle carries no extra
+    exponential factor; the alternative normalization E_m(c)/e^{jc} is
+    measured and reported alongside it.  Raises ValueError before any work
+    unless ``tol`` is finite and positive.
     """
     _require_tol(tol)
     if m < 0:
@@ -405,9 +491,7 @@ def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> Con
         raise ValueError("c must be nonnegative")
     A = _as_weights(A)
     spec = ZetaSpec(complex(-m), float(cq), twist, A)
-    # the transform annihilates degree-m growth after m+1 passes; extra terms
-    # only inflate the partial sums and with them the rounding-noise floor
-    accel = zeta_accelerated(spec, terms_per_axis=max(16, 3 * m + 8))
+    accel = zeta_accelerated(spec)
     exact = gen_euler_poly(m, twist, A).eval_exact(cq).embed()
     phase = cmath.exp(2j * cmath.pi * twist.t * float(cq) / twist.k)
     alt = exact / phase

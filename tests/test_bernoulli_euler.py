@@ -117,6 +117,18 @@ def classical_euler_by_series(n_max):
     return [inv.taylor_value(n).as_rational() for n in range(n_max + 1)]
 
 
+def bernoulli_value_by_fraction_horner(n, y):
+    """B_n(y) by Horner's rule over sum_i C(n, i) B_{n-i} y^i in Fractions, the
+    reference that the integer Horner of ``_bernoulli_value`` must match literally."""
+    numbers = bernoulli_numbers(n)
+    acc = F(0)
+    for i in range(n, -1, -1):
+        acc *= y
+        if numbers[n - i]:
+            acc += math.comb(n, i) * numbers[n - i]
+    return acc
+
+
 def literal(values):
     """The canonical form of each number: its order and its coordinates."""
     return [(v.order, v.coeffs) for v in values]
@@ -170,6 +182,15 @@ class TestBernoulli:
         nums = bernoulli_numbers(15)
         for n in range(1, 15):
             assert sum(math.comb(n + 1, j) * nums[j] for j in range(n + 1)) == 0
+
+    def test_value_by_integer_horner(self):
+        points = [F(0), F(1), F(7, 5), F(-3, 4)] + [F(-l, k) for k in range(2, 8) for l in range(1, k)]
+        for n in range(61):
+            for y in points:
+                got = bernoulli_euler._bernoulli_value(n, y)
+                assert type(got) is F and got == bernoulli_value_by_fraction_horner(n, y), (n, y)
+                num, den = bernoulli_euler._bernoulli_ratio(n, 2 * y.numerator, 2 * y.denominator)
+                assert F(num, den) == got, (n, y)  # an unreduced ratio a/b gives the same value
 
     def test_polynomials(self):
         assert bernoulli_poly(0) == PolynomialX.from_coeffs([1])

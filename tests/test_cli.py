@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 
-from twistsum.cli import build_parser, main
+from twistsum.cli import _fail, build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
 from twistsum.verify import SUITE_NAMES
-from twistsum.zeta import ZetaSpec, finite_sum_asymptotic
+from twistsum.zeta import AccelerationError, ZetaSpec, finite_sum_asymptotic, zeta_accelerated
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +346,50 @@ class TestZetaCommand:
         # pins the direct sum bit for bit: float powers must give the complex power's value
         code, out, _ = run_cli(capsys, "zeta", "--method", "direct", *argv)
         assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("--s=-2", "--x", "10", "--k", "2", "--t", "1", "--weights", "1,3,5,7"),
+                '{"method": "accel", "value": {"im": 0.0, "re": -17.0}}\n',
+            ),
+            (
+                ("--s=-8", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"),
+                '{"method": "accel", "value": {"im": 0.0, "re": 0.0}}\n',
+            ),
+        ],
+    )
+    def test_integer_order_is_exact(self, capsys, argv, expected):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "zeta", "--method", "accel", *argv)
+        assert (code, out) == (0, expected)
+        assert time.perf_counter() - start < 1.0
+
+    def test_stalled_acceleration_reports_its_best_estimate(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--tol", "1e-30", "zeta", "--method", "accel",
+            "--s", "0.5", "--x", "1", "--k", "3", "--t", "1", "--weights", "1",
+        )
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        with pytest.raises(AccelerationError) as info:
+            zeta_accelerated(ZetaSpec.of(0.5, 1, 3, 1, (1,)), tol=1e-30)
+        best = info.value.best_estimate
+        assert payload == {
+            "error": str(info.value),
+            "type": "AccelerationError",
+            "best_estimate": {"re": best.real, "im": best.imag},
+            "achieved_tol": info.value.achieved_tol,
+        }
+        assert info.value.achieved_tol > 1e-30
+
+    def test_non_finite_diagnostics_are_null(self, capsys):
+        exc = AccelerationError("stalled", best_estimate=complex(math.inf, 1.0), achieved_tol=math.inf)
+        assert _fail(exc) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["best_estimate"] == {"re": None, "im": 1.0}
+        assert payload["achieved_tol"] is None
 
     def test_finite_method_honours_tolerance(self, capsys):
         argv = ("zeta", "--method", "finite", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2",
