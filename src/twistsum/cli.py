@@ -317,13 +317,15 @@ def _fail(exc: Exception) -> int:
     """Print the JSON error object for ``exc`` on stderr; the exit code is 1.
 
     An exception that carries ``best_estimate`` and ``achieved_tol`` (an
-    :class:`~twistsum.zeta.AccelerationError`) adds both; a non-finite float
-    among them is written as null.
+    :class:`~twistsum.zeta.AccelerationError`) adds both; a missing estimate,
+    and a non-finite float among them, is written as null.
     """
     obj = {"error": str(exc), "type": type(exc).__name__}
     if hasattr(exc, "best_estimate") and hasattr(exc, "achieved_tol"):
         best = exc.best_estimate
-        obj["best_estimate"] = {"re": _finite_or_none(best.real), "im": _finite_or_none(best.imag)}
+        obj["best_estimate"] = (
+            None if best is None else {"re": _finite_or_none(best.real), "im": _finite_or_none(best.imag)}
+        )
         obj["achieved_tol"] = _finite_or_none(exc.achieved_tol)
     print(json.dumps(obj, sort_keys=True), file=sys.stderr)
     return 1

@@ -10,7 +10,9 @@ blocked partial sum in the convergent regime; ``zeta_accelerated`` evaluates
 the analytic continuation.  At an integer order s = -m <= 0 the continuation
 is exact: the lattice-point count c_d = #{M : A.M = d} is a quasi-polynomial
 in d, so Z(-m, x) is a finite sum of Hurwitz values -B_{n+1}(v)/(n+1) in
-Q(zeta_k), embedded once.  Every other order takes an iterated,
+Q(zeta_k), embedded once.  That sum grows with the period lcm(k, A); past a
+fixed limit the value is the generalized Euler polynomial E_m(x, j; A_r),
+built and evaluated at x.  Every other order takes an iterated,
 twist-weighted Euler transformation applied axis by axis, which returns a
 value only within its tolerance and otherwise raises with its best estimate.
 
@@ -42,9 +44,13 @@ from .twisted_c import _c_star_s_from_table, _star_table, c_star, pochhammer
 
 
 class AccelerationError(RuntimeError):
-    """Acceleration failed to reach the requested tolerance."""
+    """Acceleration failed to reach the requested tolerance.
 
-    def __init__(self, message: str, best_estimate: complex, achieved_tol: float):
+    ``best_estimate`` estimates the quantity the raising function returns, or
+    is None when the stall left no such estimate (an inner axis).
+    """
+
+    def __init__(self, message: str, best_estimate: Optional[complex], achieved_tol: float):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.achieved_tol = achieved_tol
@@ -183,6 +189,7 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
 # ---------------------------------------------------------------------------
 
 _ACCEL_TERMS = 56  # the default terms per axis of the nested transformation
+_COUNT_LIMIT = 64  # the largest lcm(k, A) * r summed from lattice-point counts
 
 
 def _require_tol(tol: float) -> None:
@@ -240,10 +247,14 @@ def zeta_accelerated(
     """The analytic continuation Z(s, x): exact at integer orders s = -m <= 0,
     and otherwise the iterated Euler transformation.
 
-    At s = -m the value is computed exactly in Q(zeta_k) and embedded once
-    (:func:`_integer_order_value`); ``tol`` and ``terms_per_axis`` do not
-    affect it.  An order whose terms would overflow on the float path's box
-    is refused first, with the complex power's OverflowError.
+    At s = -m the value is computed exactly in Q(zeta_k) and embedded once;
+    ``tol`` and ``terms_per_axis`` do not affect it.  While the period
+    P = lcm(k, A) keeps P * r within ``_COUNT_LIMIT`` it is summed from the
+    lattice-point counts (:func:`_integer_order_value`), whose work grows with
+    P * r; past it, the generalized Euler polynomial E_m(x, j; A_r) is built
+    and evaluated at x, whose work depends on m, k and r only.  An order whose
+    terms would overflow on the float path's box is refused first, with the
+    complex power's OverflowError.
 
     Every other order takes the nested transformation (:func:`_transform`).
     Re(s) may be nonpositive; polynomially growing blocked terms are the
@@ -270,6 +281,9 @@ def zeta_accelerated(
         # exact value costs like m^2
         terms = max(terms_per_axis, _ACCEL_TERMS)
         _term_power(spec.x + sum(a * (terms - 1) for a in spec.A.entries), -spec.s)
+        if math.lcm(spec.twist.k, *spec.A.entries) * len(spec.A) > _COUNT_LIMIT:
+            m = -int(spec.s.real)
+            return gen_euler_poly(m, spec.twist, spec.A).eval_exact(Fraction(spec.x)).embed()
         return _integer_order_value(spec).embed()
     return _transform(spec, tol, terms_per_axis)
 
@@ -358,9 +372,10 @@ def _transform(spec: ZetaSpec, tol: float, terms_per_axis: int) -> complex:
             ]
         value, achieved, converged = _accelerate(terms, w, level_tol)
         if not converged:
+            # only the outermost axis value, times 2^r, estimates Z
             raise AccelerationError(
                 f"acceleration stalled at tolerance {achieved:.3e} (requested {level_tol:.3e})",
-                best_estimate=value,
+                best_estimate=(2**r) * value if level == r - 1 else None,
                 achieved_tol=achieved,
             )
         return value
@@ -414,18 +429,28 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     term at shift x + A_S.(N_S+1); the empty subset contributes the
     accelerated continuation Z(s, x) to tolerance ``tol``.  Everything is
     scaled by 1/2^r.  The main terms differ only in their shift, so they
-    share one star table.
+    share one star table.  When the continuation stalls, its best estimate
+    goes through the same corners into the raised AccelerationError.
     """
     r = len(spec.A)
     corners = spec.A.corners(N)  # checks the limits before any work
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
-    total = zeta_accelerated(spec, tol=tol)
-    stars = _stars(spec)
-    for indices, shift, sign in corners:
-        if indices:
-            total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift), stars)
-    return total / (2**r)
+
+    def with_corners(total: complex) -> complex:
+        stars = _stars(spec)
+        for indices, shift, sign in corners:
+            if indices:
+                total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift), stars)
+        return total / (2**r)
+
+    try:
+        value = zeta_accelerated(spec, tol=tol)
+    except AccelerationError as exc:
+        if exc.best_estimate is None:
+            raise
+        raise AccelerationError(str(exc), with_corners(exc.best_estimate), exc.achieved_tol) from exc
+    return with_corners(value)
 
 
 def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
@@ -475,12 +500,14 @@ class ContinuationReport:
 def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> ContinuationReport:
     """Compare Z(-m, c) against E_m(c, j; A_r) exactly evaluated.
 
-    Both sides are exact and independent: :func:`zeta_accelerated` sums
-    Bernoulli values over the lattice-point counts, and E_m(c, j; A_r) is the
-    generalized Euler build evaluated by Horner's rule.  The continuation
-    convention validated by the brute-force power-sum oracle carries no extra
-    exponential factor; the alternative normalization E_m(c)/e^{jc} is
-    measured and reported alongside it.  Raises ValueError before any work
+    Both sides are exact.  They are independent while lcm(k, A) * r stays
+    within ``_COUNT_LIMIT``: :func:`zeta_accelerated` then sums Bernoulli
+    values over the lattice-point counts, and E_m(c, j; A_r) is the
+    generalized Euler build evaluated by Horner's rule.  Past the limit both
+    sides are the Euler build.  The continuation convention validated by the
+    brute-force power-sum oracle carries no extra exponential factor; the
+    alternative normalization E_m(c)/e^{jc} is measured and reported
+    alongside it.  Raises ValueError before any work
     unless ``tol`` is finite and positive.
     """
     _require_tol(tol)

@@ -183,6 +183,22 @@ class TestAccelerated:
         assert err.achieved_tol > 1e-10
         assert err.best_estimate != 0
 
+    def test_best_estimate_estimates_the_returned_quantity(self):
+        spec = spec_of(0.5, 3.5, 3, 1, (1,))
+        with pytest.raises(AccelerationError) as info:
+            zeta_accelerated(spec, tol=1e-30)
+        value = zeta_accelerated(spec)
+        assert abs(info.value.best_estimate - value) <= 1e-8 * abs(value)
+        # the finite sum carries the estimate through its corners
+        with pytest.raises(AccelerationError) as info:
+            finite_sum_asymptotic(spec, (10,), tol=1e-30)
+        value = finite_sum_asymptotic(spec, (10,))
+        assert abs(info.value.best_estimate - value) <= 1e-8 * abs(value)
+        # an inner axis value is no estimate of Z
+        with pytest.raises(AccelerationError) as info:
+            zeta_accelerated(spec_of(0.5, 3.5, 3, 1, (1, 2)), tol=1e-30)
+        assert info.value.best_estimate is None
+
     def test_against_lerch_transcendent(self):
         # r = 1, weight 1: Z(s, x) = 2 * Phi(zeta_k^t, s, x), an independent
         # implementation (mpmath) of the same analytic object
@@ -572,6 +588,7 @@ class TestExactIntegerOrders:
 
         monkeypatch.setattr(be, "bernoulli_numbers", no_work)
         monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
+        monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
         spec = spec_of(s, x, 2, 1, A)
         with pytest.raises(OverflowError, match="complex exponentiation"):
             zeta_accelerated(spec, terms_per_axis=terms)
@@ -580,6 +597,26 @@ class TestExactIntegerOrders:
         if len(A) == 1 and terms == 56:
             with pytest.raises(OverflowError, match="complex exponentiation"):
                 zeta_mod._transform(spec, 1e-10, terms)
+
+    @pytest.mark.parametrize(
+        "m, x, A", [(1, 0, (9973, 9967)), (2, 1, (101, 103, 107)), (2, 10, (1, 3, 5, 7))]
+    )
+    def test_long_period_takes_the_euler_build(self, monkeypatch, m, x, A):
+        # lcm(k, A) * r past the limit: the counts over one period are never taken
+        def no_work(*args, **kwargs):
+            raise AssertionError("period-sized work started")
+
+        want = gen_euler_poly(m, TwistSpec(2, 1), A).eval_exact(F(x)).embed()
+        monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
+        monkeypatch.setattr(be.WeightVector, "dot_counts", no_work)
+        assert zeta_accelerated(spec_of(-m, x, 2, 1, A)) == want
+
+    def test_short_period_sums_the_counts(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("Euler build started")
+
+        monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
+        assert zeta_accelerated(spec_of(-6, 1, 2, 1, (1, 1))) == -4.25
 
     def test_float_transform_agrees_where_it_converges(self):
         # the check continuation_check made before the exact path: the float
@@ -603,7 +640,7 @@ class TestExactIntegerOrders:
                 value = zeta_mod._transform(spec, 1e-10, max(16, 3 * m + 8))
             except AccelerationError as exc:
                 assert (m, c, k, t, A) in stalling
-                assert cmath.isfinite(exc.best_estimate)
+                assert exc.best_estimate is None or cmath.isfinite(exc.best_estimate)
                 continue
             assert abs(value - exact) <= 1e-6 * (1 + abs(exact)), (m, c, k, t, A)
 
