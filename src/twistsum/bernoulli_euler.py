@@ -31,6 +31,7 @@ its numbers,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -210,20 +211,35 @@ def _bernoulli_value(n: int, y: Fraction) -> Fraction:
 def _bernoulli_ratio(n: int, a: int, b: int) -> tuple[int, int]:
     """(N, D) with B_n(a/b) = N/D for integers a and b > 0; the ratio is not reduced.
 
-    With L the common denominator of B_0..B_n, D = L b^n and N is the integer
-    sum_i C(n, i) (L B_{n-i}) a^i b^{n-i}, accumulated by Horner's rule from
-    i = n down.
+    With L and c_i the integer row of order n (:func:`_bernoulli_row`),
+    D = L b^n and N is the integer sum_i c_i a^i b^{n-i}, accumulated by
+    Horner's rule from i = n down.
     """
-    numbers = bernoulli_numbers(n)
-    common = math.lcm(*(c.denominator for c in numbers))
+    common, row = _bernoulli_row(n)
     acc, scale = 0, 1  # scale = b^{n-i}
     for i in range(n, -1, -1):
         acc *= a
-        c = numbers[n - i]
-        if c:  # B_j = 0 for odd j >= 3
-            acc += math.comb(n, i) * c.numerator * (common // c.denominator) * scale
+        if row[i]:  # B_j = 0 for odd j >= 3
+            acc += row[i] * scale
         scale *= b
     return acc, common * (scale // b)
+
+
+@functools.lru_cache(maxsize=128)
+def _bernoulli_row(n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (c_0, ..., c_n)) with L B_n(y) = sum_i c_i y^i, so c_i = C(n, i) L B_{n-i}.
+
+    L is the common denominator of B_0..B_n, so every c_i is an integer.  A
+    row depends on its order alone and is built once; the cache keeps the
+    most recent 128 orders, so a sweep over high orders cannot grow it
+    without bound.
+    """
+    numbers = bernoulli_numbers(n)
+    common = math.lcm(*(c.denominator for c in numbers))
+    return common, tuple(
+        math.comb(n, i) * c.numerator * (common // c.denominator)
+        for i, c in enumerate(reversed(numbers))
+    )
 
 
 def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:

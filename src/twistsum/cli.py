@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .exact import CyclotomicNumber, parse_rational
 from .powersum import SumSpec, brute_sum, closed_sum, closed_sum_trace
 from .twisted_c import CPolySpec, c_poly, c_star, c_star_multi, c_tilde
 from .zeta import (
+    AccelerationError,
     ZetaSpec,
     decay_probe,
     finite_sum_asymptotic,
@@ -66,6 +68,11 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
     return value
+
+
+def _env_tol() -> str:
+    """The default of ``--tol``: ``TWISTSUM_TOL``, checked by :func:`_tolerance` at parse time."""
+    return os.environ.get("TWISTSUM_TOL", "1e-10")
 
 
 def _render(obj: dict, text_mode: bool) -> str:
@@ -182,7 +189,7 @@ def _cmd_zeta(args) -> dict:
         args.q,
     )
     if args.method == "direct":
-        value = zeta_direct(spec, args.terms)
+        value = _direct_value(spec, args.terms, args.tol)
     elif args.method == "accel":
         value = zeta_accelerated(spec, tol=args.tol)
     elif args.method == "asym":
@@ -192,6 +199,34 @@ def _cmd_zeta(args) -> dict:
             raise ValueError("--limits is required for --method finite")
         value = finite_sum_asymptotic(spec, args.limits, tol=args.tol)
     return {"method": args.method, "value": _ser_complex(value)}
+
+
+def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
+    """The blocked partial sum S(T) over T = ``terms`` blocks per axis, if it meets ``tol``.
+
+    The truncation error falls off like T^{-sigma}, sigma = Re s, so with
+    T' = ceil(T/2) blocks the remaining tail is estimated as
+
+        tail(T) = |S(T) - S(T')| / ((T/T')^sigma - 1).
+
+    S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise an
+    :class:`AccelerationError` carries S(T) and tail(T).
+    """
+    if terms < 2:
+        raise ValueError("--terms must be at least 2 for --method direct (the tail estimate halves it)")
+    value = zeta_direct(spec, terms)
+    half = -(-terms // 2)
+    rate = spec.s.real * math.log(terms / half)  # (T/T')^sigma = e^rate, which may overflow
+    drop = -math.expm1(-rate)  # 0 when rate underflows, at a subnormal sigma: no estimate
+    tail = abs(value - zeta_direct(spec, half)) * math.exp(-rate) / drop if drop else math.inf
+    if tail > tol * (1 + abs(value)):
+        raise AccelerationError(
+            f"direct sum over {terms} blocks per axis misses --tol {tol:g}: estimated tail "
+            f"{tail:.3g} at Re s = {spec.s.real:g}; raise --terms or use --method accel",
+            value,
+            tail,
+        )
+    return value
 
 
 def _cmd_probe(args) -> dict:
@@ -234,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=_tolerance,
-        default=os.environ.get("TWISTSUM_TOL", "1e-10"),
+        default=_env_tol(),
         help="numeric tolerance for accelerated evaluations (env TWISTSUM_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,9 +366,19 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
+#: built by the first call of :func:`main` and kept: building the parser takes
+#: most of an in-process call's own time
+_parser: Optional[argparse.ArgumentParser] = None
+_parser_lock = threading.Lock()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    with _parser_lock:  # keeps each call's --tol default with its own parse
+        if _parser is None:
+            _parser = build_parser()
+        _parser.set_defaults(tol=_env_tol())
+        args = _parser.parse_args(argv)
     try:
         result = args.handler(args)
         rendered = _render(result, args.text)

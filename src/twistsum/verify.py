@@ -622,6 +622,23 @@ def suite_zeta(seed: int) -> SuiteReport:
 
     rep.check("blocked-tail estimate honored when doubling terms", blocked_tail)
 
+    def direct_refusal() -> Optional[str]:
+        from .cli import _direct_value  # imported here: the cli imports this module
+
+        for s in (0.05, 0.3):
+            spec = zt.ZetaSpec.of(s, 1.0, 2, 1, (1,))
+            try:
+                value = _direct_value(spec, 400, 1e-10)
+            except zt.AccelerationError as exc:
+                error = abs(exc.best_estimate - zt.zeta_accelerated(spec))
+                if not error / 2 <= exc.achieved_tol <= 2 * error:
+                    return f"tail estimate {exc.achieved_tol:.3g} vs error {error:.3g} at s={s}"
+            else:
+                return f"direct sum at s={s} returned {value} with its tail above the tolerance"
+        return None
+
+    rep.check("direct method refuses a slow tail at small s (estimate within 2x)", direct_refusal)
+
     def integer_exactness() -> Optional[str]:
         cases = [
             (2, 2, 1, (1,), 10),

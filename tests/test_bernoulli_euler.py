@@ -129,6 +129,22 @@ def bernoulli_value_by_fraction_horner(n, y):
     return acc
 
 
+def bernoulli_ratio_per_call(n, a, b):
+    """(N, D) for B_n(a/b) with the common denominator and the binomials made
+    afresh on every call, the reference that the cached integer rows of
+    ``_bernoulli_ratio`` must match literally, unreduced pair and all."""
+    numbers = bernoulli_numbers(n)
+    common = math.lcm(*(c.denominator for c in numbers))
+    acc, scale = 0, 1
+    for i in range(n, -1, -1):
+        acc *= a
+        c = numbers[n - i]
+        if c:
+            acc += math.comb(n, i) * c.numerator * (common // c.denominator) * scale
+        scale *= b
+    return acc, common * (scale // b)
+
+
 def literal(values):
     """The canonical form of each number: its order and its coordinates."""
     return [(v.order, v.coeffs) for v in values]
@@ -201,6 +217,20 @@ class TestBernoulli:
         assert periodic_bernoulli(2, F(5, 2)) == F(-1, 12)
         assert periodic_bernoulli(1, F(-1, 2)) == 0
         assert periodic_bernoulli(3, 7) == 0
+
+
+class TestBernoulliRows:
+    def test_ratio_matches_the_per_call_expression(self):
+        grid = [(0, 1), (0, 7), (1, 1), (-1, 1), (3, 2), (-3, 2), (5, 12), (-11, 12), (-4, 6), (25, 9)]
+        for n in range(61):
+            for a, b in grid:
+                assert bernoulli_euler._bernoulli_ratio(n, a, b) == bernoulli_ratio_per_call(n, a, b), (n, a, b)
+
+    def test_rows_survive_eviction(self):
+        orders = range(200)  # more orders than the cache keeps
+        first = [bernoulli_euler._bernoulli_ratio(n, -5, 3) for n in orders]
+        assert [bernoulli_euler._bernoulli_ratio(n, -5, 3) for n in orders] == first
+        assert first[150] == bernoulli_ratio_per_call(150, -5, 3)
 
 
 class TestClassicalEuler:

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
+from twistsum import cli
 from twistsum.cli import _fail, build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
 from twistsum.verify import SUITE_NAMES
-from twistsum.zeta import AccelerationError, ZetaSpec, finite_sum_asymptotic, zeta_accelerated
+from twistsum.zeta import AccelerationError, ZetaSpec, finite_sum_asymptotic, zeta_accelerated, zeta_direct
 
 
 def run_cli(capsys, *argv):
@@ -268,7 +269,8 @@ class TestZetaCommand:
     def test_direct_method_three_axes_default_terms(self, capsys):
         # the default --terms 400 spans 1200^3 lattice points at k = 3
         args = ("zeta", "--s", "3", "--x", "1", "--k", "3", "--t", "1", "--weights", "1,2,4")
-        direct = run_json(capsys, *args, "--method", "direct")["value"]
+        # the global --tol is one the tail estimate of this sum meets (1.2e-10)
+        direct = run_json(capsys, "--tol", "1e-9", *args, "--method", "direct")["value"]
         accel = run_json(capsys, *args, "--method", "accel")["value"]
         d, a = complex(direct["re"], direct["im"]), complex(accel["re"], accel["im"])
         assert abs(d - a) <= 1e-8 * abs(a)
@@ -328,22 +330,26 @@ class TestZetaCommand:
         "argv, expected",
         [
             (  # real non-integer order: float powers
-                ("--s", "1.5", "--x", "0.75", "--k", "3", "--t", "1", "--weights", "1,2", "--terms", "20"),
+                ("--tol", "1e-3", "zeta", "--method", "direct",
+                 "--s", "1.5", "--x", "0.75", "--k", "3", "--t", "1", "--weights", "1,2", "--terms", "20"),
                 '{"method": "direct", "value": {"im": 0.4262162683343419, "re": 4.993190141669938}}\n',
             ),
             (  # integer order: the complex power
-                ("--s", "2", "--x", "0.5", "--k", "4", "--t", "1", "--weights", "1,3", "--terms", "20"),
+                ("--tol", "1e-4", "zeta", "--method", "direct",
+                 "--s", "2", "--x", "0.5", "--k", "4", "--t", "1", "--weights", "1,3", "--terms", "20"),
                 '{"method": "direct", "value": {"im": 1.2848386611707219, "re": 15.566941412485821}}\n',
             ),
             (  # complex order: the complex power
-                ("--s", "1.5,0.5", "--x", "1.25", "--k", "5", "--t", "2", "--weights", "1,2", "--terms", "20"),
+                ("--tol", "1e-3", "zeta", "--method", "direct",
+                 "--s", "1.5,0.5", "--x", "1.25", "--k", "5", "--t", "2", "--weights", "1,2", "--terms", "20"),
                 '{"method": "direct", "value": {"im": -0.11332930721210961, "re": 2.091735559909537}}\n',
             ),
         ],
     )
     def test_golden_direct_output(self, capsys, argv, expected):
-        # pins the direct sum bit for bit: float powers must give the complex power's value
-        code, out, _ = run_cli(capsys, "zeta", "--method", "direct", *argv)
+        # pins the direct sum bit for bit: float powers must give the complex power's value;
+        # each global --tol is one the sum's tail estimate meets (5.8e-4, 2.1e-5, 7.1e-4)
+        code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, expected)
 
     @pytest.mark.parametrize(
@@ -410,6 +416,57 @@ class TestZetaCommand:
         expected = finite_sum_asymptotic(ZetaSpec.of(-1.5, 0.5, 5, 2, (1, 3), 4), (30, 30), tol=1e-2)
         assert complex(loose["re"], loose["im"]) == expected
         assert loose != tight
+
+
+class TestDirectTail:
+    """``zeta --method direct`` meets --tol or exits 1 with its estimate and error."""
+
+    @pytest.mark.parametrize(
+        "s, k, weights",
+        [("0.05", "2", "1"), ("0.3", "2", "1"), ("0.3", "3", "1,2")],
+    )
+    def test_slow_tail_is_refused(self, monkeypatch, capsys, s, k, weights):
+        monkeypatch.delenv("TWISTSUM_TOL", raising=False)
+        args = ("zeta", "--s", s, "--x", "1", "--k", k, "--t", "1", "--weights", weights)
+        code, out, err = run_cli(capsys, *args, "--method", "direct")
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["type"] == "AccelerationError"
+        best = complex(payload["best_estimate"]["re"], payload["best_estimate"]["im"])
+        spec = ZetaSpec.of(float(s), 1.0, int(k), 1, tuple(map(int, weights.split(","))))
+        assert best == zeta_direct(spec, 400)
+        accel = run_json(capsys, *args, "--method", "accel")["value"]
+        error = abs(best - complex(accel["re"], accel["im"]))
+        assert error / 2 <= payload["achieved_tol"] <= 2 * error
+
+    def test_tail_within_tol_prints_the_partial_sum(self, capsys):
+        args = ("zeta", "--method", "direct", "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1")
+        value = run_json(capsys, "--tol", "1e-6", *args)["value"]
+        assert complex(value["re"], value["im"]) == zeta_direct(ZetaSpec.of(3, 1.0, 2, 1, (1,)), 400)
+        assert run_cli(capsys, "--tol", "1e-12", *args)[0] == 1  # its tail is about 1.9e-9
+
+    def test_vanishing_rate_gives_no_estimate(self, capsys):
+        # at a subnormal order (T/T')^sigma rounds to 1, so the tail cannot be estimated
+        code, _, err = run_cli(
+            capsys, "zeta", "--method", "direct", "--terms", "3",
+            "--s", "5e-324", "--x", "1", "--k", "2", "--t", "1", "--weights", "1",
+        )
+        payload = json.loads(err)
+        assert (code, payload["type"], payload["achieved_tol"]) == (1, "AccelerationError", None)
+
+    @pytest.mark.parametrize("terms", ["1", "0", "-3"])
+    def test_fewer_than_two_terms_refused_before_any_work(self, monkeypatch, capsys, terms):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "zeta_direct", no_work)
+        code, out, err = run_cli(
+            capsys, "zeta", "--method", "direct", "--terms", terms,
+            "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1",
+        )
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["type"] == "ValueError" and "--terms" in payload["error"]
 
 
 class TestProbeCommand:
@@ -553,3 +610,40 @@ class TestToleranceEnvironment:
         argv = ["verify", "--suite", "exact"]
         assert build_parser().parse_args(argv).tol == 1e-6
         assert build_parser().parse_args(["--tol", "1e-8"] + argv).tol == 1e-8
+
+
+class TestSharedParser:
+    DIRECT = ["zeta", "--method", "direct", "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"]
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(3):
+            run_json(capsys, "c-values", "--n", "3", "--k", "3", "--a", "1")
+        assert len(builds) == 1
+
+    def test_env_tolerance_set_between_calls_takes_effect(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-12")  # the tail at s = 3 is about 1.9e-9
+        assert run_cli(capsys, *self.DIRECT)[0] == 1
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
+        assert run_cli(capsys, *self.DIRECT)[0] == 0
+        monkeypatch.delenv("TWISTSUM_TOL")
+        assert run_cli(capsys, *self.DIRECT)[0] == 1  # the default 1e-10
+        assert run_cli(capsys, "--tol", "1e-6", *self.DIRECT)[0] == 0
+
+    def test_malformed_env_after_the_first_call_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
+        assert run_cli(capsys, *self.DIRECT)[0] == 0
+        monkeypatch.setenv("TWISTSUM_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(self.DIRECT)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
+        assert run_cli(capsys, *self.DIRECT)[0] == 0

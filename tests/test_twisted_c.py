@@ -50,6 +50,21 @@ class TestCPoly:
             for a in range(1, k):
                 assert _genfun_case(k, a, 6) is None
 
+    def test_pinned_values(self):
+        # literal values from before the Bernoulli rows were cached
+        assert [c.coeffs for c in c_poly(CPolySpec(4, 3, 2)).coeffs] == [
+            (F(-16, 81), F(28, 27)), (F(40, 27), F(-100, 27)), (F(-8, 3), F(4)), (F(4, 3), F(-4, 3)),
+        ]
+        assert [c.coeffs for c in c_poly(CPolySpec(7, 5, 3)).coeffs] == [
+            (F(24332, 78125), F(20909, 78125), F(-117082, 78125), F(22351, 78125)),
+            (F(-46368, 15625), F(-8862, 3125), F(166824, 15625), F(-48006, 15625)),
+            (F(43428, 3125), F(35931, 3125), F(-92526, 3125), F(44457, 3125)),
+            (F(-4032, 125), F(-532, 25), F(1008, 25), F(-756, 25)),
+            (F(924, 25), F(483, 25), F(-714, 25), F(777, 25)),
+            (F(-504, 25), F(-42, 5), F(252, 25), F(-378, 25)),
+            (F(21, 5), F(7, 5), F(-7, 5), F(14, 5)),
+        ]
+
     def test_invalid_spec(self):
         with pytest.raises(SingularTwistError):
             CPolySpec(1, 2, 2)
@@ -115,6 +130,12 @@ class TestCTilde:
         exact = c_tilde(spec, F(1, 5)).embed()
         numeric = c_tilde(spec, 0.2)
         assert abs(numeric - exact) < 1e-12
+
+    def test_pinned_values(self):
+        # literal values from before the Bernoulli rows were cached
+        assert c_tilde(CPolySpec(5, 4, 3), F(7, 3)).coeffs == (F(-55, 1296), F(1025, 41472))
+        assert c_tilde(CPolySpec(6, 3, 1), F(-5, 2)).coeffs == (F(-403, 11664), F(0))
+        assert c_tilde(CPolySpec(9, 6, 1), F(1, 5)).coeffs == (F(-11746179851, 72900000000), F(247390331, 4860000000))
 
     def test_periodicity(self):
         spec = CPolySpec(3, 3, 2)

@@ -562,6 +562,19 @@ class TestExactIntegerOrders:
         zeta_accelerated(spec_of(-0.5, 1, 2, 1, (1,)))
         assert calls
 
+    @pytest.mark.parametrize(
+        "s, x, k, t, A, expected",
+        [  # literal values from before the Bernoulli rows were cached
+            (-3, 0.5, 3, 1, (1, 2), 5.666666666666668 + 2.598076211353316j),
+            (-5, 1.25, 4, 1, (1, 3), -1749.8496093750002 - 4118.9140625j),
+            (-4, 0.75, 5, 2, (1, 2), 111.98974348622595 - 217.55818219440795j),
+            (-6, 0.2, 6, 1, (1,), -216.80377600000014 - 1019.9145430840665j),
+            (-1, 2.0, 7, 3, (2,), -3.3119411104227274 - 4.153042793144673j),
+        ],
+    )
+    def test_pinned_values(self, s, x, k, t, A, expected):
+        assert zeta_accelerated(spec_of(s, x, k, t, A)) == expected
+
     def test_tolerance_and_terms_leave_the_value_alone(self):
         spec = spec_of(-5, 7 / 5, 3, 1, (1, 2))
         value = zeta_accelerated(spec)
