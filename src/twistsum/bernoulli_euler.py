@@ -46,7 +46,6 @@ from .exact import (
     RationalLike,
     _root_sum,
     as_fraction,
-    binomial_convolve,
     binomial_inverse,
     cyc_root,
 )
@@ -311,53 +310,3 @@ def gen_euler_numbers(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]
 def gen_euler_poly(m: int, twist: TwistSpec, A) -> PolynomialX:
     """E_m(x, j; A_r), binomially assembled from E_0(j,A_r)..E_m(j,A_r)."""
     return _binomial_assembly(_gen_euler_values(m, twist, A), twist.k)
-
-
-def gen_euler_numbers_by_convolution(
-    m_max: int, twist: TwistSpec, A
-) -> list[CyclotomicNumber]:
-    """Same values as :func:`gen_euler_numbers`, via the multinomial convolution
-    over the single-entry weight vectors.  Exists as an independent cross-check
-    path: E_m(j, A_r) = sum multinomial(m; l_1..l_r) prod_i E_{l_i}(j, a_i).
-    """
-    A = _as_weights(A)
-    A.require_admissible(twist)
-    acc = gen_euler_numbers(m_max, twist, WeightVector.of(A.entries[0]))
-    for a in A.entries[1:]:
-        acc = binomial_convolve(acc, gen_euler_numbers(m_max, twist, WeightVector.of(a)))
-    return acc
-
-
-def gen_euler_poly_partition_check(
-    m: int,
-    twist: TwistSpec,
-    A,
-    parts: Sequence[Sequence[int]],
-    x_parts: Sequence[RationalLike],
-) -> bool:
-    """Check the partition identity for E_m(x, j; A_r) at rational points.
-
-    ``parts`` must partition the entries of A (as a multiset) and ``x_parts``
-    must have the same length; x = sum of x_parts.  The identity equates
-    E_m(x, j; A_r) with the binomially weighted convolution of the
-    E_{l_i}(x_i, j; A'_i).
-    """
-    A = _as_weights(A)
-    part_vectors = [_as_weights(p) for p in parts]
-    if len(part_vectors) != len(x_parts):
-        raise ValueError("parts and x_parts must have the same length")
-    merged = sorted(a for p in part_vectors for a in p.entries)
-    if merged != sorted(A.entries):
-        raise ValueError("parts do not form a partition of the weight vector")
-
-    x_total = sum(as_fraction(xp) for xp in x_parts)
-    lhs = gen_euler_poly(m, twist, A).eval_exact(x_total)
-
-    values = [
-        [gen_euler_poly(l, twist, p).eval_exact(as_fraction(xp)) for l in range(m + 1)]
-        for p, xp in zip(part_vectors, x_parts)
-    ]
-    acc = values[0]
-    for vals in values[1:]:
-        acc = binomial_convolve(acc, vals)
-    return acc[m] == lhs

@@ -19,21 +19,17 @@ import threading
 from fractions import Fraction
 from typing import Optional
 
-from . import verify as verify_mod
+# Only what ``sum`` and ``euler-gen`` use is imported here.  The other
+# handlers import from the defining module when they run, so a process loads
+# only the modules its command needs, and a patched module attribute is seen
+# by every call.
 from .bernoulli_euler import TwistSpec, WeightVector, gen_euler_numbers, gen_euler_poly
-from .euler_maclaurin import SmoothFunction, em_sum_scaled, em_sum_unit
 from .exact import CyclotomicNumber, parse_rational
 from .powersum import SumSpec, brute_sum, closed_sum, closed_sum_trace
-from .twisted_c import CPolySpec, c_poly, c_star, c_star_multi, c_tilde
-from .zeta import (
-    AccelerationError,
-    ZetaSpec,
-    decay_probe,
-    finite_sum_asymptotic,
-    zeta_accelerated,
-    zeta_asymptotic,
-    zeta_direct,
-)
+
+#: ``verify.SUITE_NAMES``, repeated so that the parser does not import ``verify``
+_SUITE_NAMES = ("exact", "powersum", "euler", "cvalues", "em", "zeta", "all")
+
 
 def _ser_exact(value: CyclotomicNumber):
     """Rational string when possible, else the {"k", "coeffs"} object."""
@@ -97,6 +93,8 @@ def _render(obj: dict, text_mode: bool) -> str:
 
 
 def _make_smooth(preset: str) -> SmoothFunction:
+    from .euler_maclaurin import SmoothFunction
+
     kind, _, payload = preset.partition(":")
     if kind == "poly":
         coeffs = [Fraction(part) for part in payload.split(",") if part != ""]
@@ -152,6 +150,8 @@ def _cmd_euler_gen(args) -> dict:
 
 
 def _cmd_c_values(args) -> dict:
+    from .twisted_c import CPolySpec, c_poly, c_star, c_star_multi, c_tilde
+
     ser = (lambda v: _ser_complex(v.embed())) if args.numeric else _ser_exact
     if args.multi is not None:
         return {"c_star_multi": ser(c_star_multi(args.n, args.k, args.multi))}
@@ -168,6 +168,8 @@ def _cmd_c_values(args) -> dict:
 
 
 def _cmd_em_sum(args) -> dict:
+    from .euler_maclaurin import em_sum_scaled, em_sum_unit
+
     f = _make_smooth(args.preset)
     runner = em_sum_scaled if args.scaled else em_sum_unit
     res = runner(f, args.m, args.n, args.k, args.a, args.q)
@@ -181,6 +183,8 @@ def _cmd_em_sum(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
+    from .zeta import ZetaSpec, finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
+
     spec = ZetaSpec(
         _parse_complex(args.s),
         float(args.x),
@@ -212,6 +216,8 @@ def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
     S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise an
     :class:`AccelerationError` carries S(T) and tail(T).
     """
+    from .zeta import AccelerationError, zeta_direct
+
     if terms < 2:
         raise ValueError("--terms must be at least 2 for --method direct (the tail estimate halves it)")
     value = zeta_direct(spec, terms)
@@ -230,6 +236,8 @@ def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
 
 
 def _cmd_probe(args) -> dict:
+    from .zeta import ZetaSpec, decay_probe
+
     target = {"t3": "limits", "t4": "shift"}[args.target]
     spec = ZetaSpec(
         _parse_complex(args.s),
@@ -244,7 +252,9 @@ def _cmd_probe(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    reports = verify_mod.run_suites(args.suite, args.seed)
+    from .verify import run_suites
+
+    reports = run_suites(args.suite, args.seed)
     failures = sum(rep.failures for rep in reports)
     return {
         "suite": args.suite,
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_tolerance,
         default=_env_tol(),
-        help="numeric tolerance for accelerated evaluations (env TWISTSUM_TOL)",
+        help="numeric tolerance of the zeta and probe evaluations (env TWISTSUM_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_probe)
 
     p = sub.add_parser("verify", help="run the randomized verification suites")
-    p.add_argument("--suite", choices=verify_mod.SUITE_NAMES, default="all")
+    p.add_argument("--suite", choices=_SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 

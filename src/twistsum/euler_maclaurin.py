@@ -103,25 +103,6 @@ class SmoothFunction:
         )
 
 
-def check_derivative_consistency(
-    f: SmoothFunction, points: Sequence[float], rtol: float = 1e-5
-) -> bool:
-    """Spot-check that evaluator l+1 is the derivative of evaluator l.
-
-    Uses central differences with a step tuned for ~1e-8 truncation error;
-    intended for randomized validation, not for every construction.
-    """
-    h = 1e-5
-    for l in range(f.max_order):
-        g, dg = f.deriv(l), f.deriv(l + 1)
-        for x in points:
-            approx = (g(x + h) - g(x - h)) / (2 * h)
-            exact = dg(x)
-            if abs(approx - exact) > rtol * (1 + abs(exact)):
-                return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class EMResult:
     main_terms: complex

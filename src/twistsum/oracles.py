@@ -1,0 +1,174 @@
+"""Independent checks of the library's identities.
+
+Each checker evaluates one identity of the paper by a second path and
+returns whether it holds (exactly, or to a stated tolerance for floats):
+the generalized Euler numbers by multinomial convolution of single weights,
+the partition identity of the generalized Euler polynomials, the starred
+values against products of truncated power series, the closed form on the
+empty box, and the derivative evaluators of a smooth function.
+
+Only :mod:`twistsum.verify` and the tests import this module; no runtime
+module does, so a refactor of the code under check cannot merge an oracle
+into it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from .bernoulli_euler import (
+    TwistSpec,
+    WeightVector,
+    _as_weights,
+    gen_euler_numbers,
+    gen_euler_poly,
+)
+from .euler_maclaurin import SmoothFunction
+from .exact import (
+    CyclotomicNumber,
+    RationalLike,
+    TruncatedSeries,
+    as_fraction,
+    binomial_convolve,
+    cyc_root,
+)
+from .powersum import SumSpec, closed_sum
+from .twisted_c import _c_star_nonperiodic, _require_twist, _star_table, c_star
+
+
+def gen_euler_numbers_by_convolution(
+    m_max: int, twist: TwistSpec, A
+) -> list[CyclotomicNumber]:
+    """Same values as :func:`gen_euler_numbers`, via the multinomial convolution
+    over the single-entry weight vectors.  Exists as an independent cross-check
+    path: E_m(j, A_r) = sum multinomial(m; l_1..l_r) prod_i E_{l_i}(j, a_i).
+    """
+    A = _as_weights(A)
+    A.require_admissible(twist)
+    acc = gen_euler_numbers(m_max, twist, WeightVector.of(A.entries[0]))
+    for a in A.entries[1:]:
+        acc = binomial_convolve(acc, gen_euler_numbers(m_max, twist, WeightVector.of(a)))
+    return acc
+
+
+def gen_euler_poly_partition_check(
+    m: int,
+    twist: TwistSpec,
+    A,
+    parts: Sequence[Sequence[int]],
+    x_parts: Sequence[RationalLike],
+) -> bool:
+    """Check the partition identity for E_m(x, j; A_r) at rational points.
+
+    ``parts`` must partition the entries of A (as a multiset) and ``x_parts``
+    must have the same length; x = sum of x_parts.  The identity equates
+    E_m(x, j; A_r) with the binomially weighted convolution of the
+    E_{l_i}(x_i, j; A'_i).
+    """
+    A = _as_weights(A)
+    part_vectors = [_as_weights(p) for p in parts]
+    if len(part_vectors) != len(x_parts):
+        raise ValueError("parts and x_parts must have the same length")
+    merged = sorted(a for p in part_vectors for a in p.entries)
+    if merged != sorted(A.entries):
+        raise ValueError("parts do not form a partition of the weight vector")
+
+    x_total = sum(as_fraction(xp) for xp in x_parts)
+    lhs = gen_euler_poly(m, twist, A).eval_exact(x_total)
+
+    values = [
+        [gen_euler_poly(l, twist, p).eval_exact(as_fraction(xp)) for l in range(m + 1)]
+        for p, xp in zip(part_vectors, x_parts)
+    ]
+    acc = values[0]
+    for vals in values[1:]:
+        acc = binomial_convolve(acc, vals)
+    return acc[m] == lhs
+
+
+def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
+    """Cross-check the starred values against their generating functions.
+
+    Two identities are verified through order ``m_max``, both exactly.  The
+    multinomial convolution of the periodic stars must match the product of
+    the per-weight series z/(zeta^{-a} e^{az/k} - 1); the convolution of the
+    non-periodic stars must match the closed-form product
+
+        prod_p [z/(e^{a_p z}-1)] * [(e^{-a_p z}-1)/(zeta^{a_p} e^{-a_p z/k}-1)].
+
+    The fractional substitution z -> z/k stays inside integer-exponent series
+    arithmetic by working in w = z/k and rescaling coefficients afterwards.
+    """
+    A = _as_weights(A)
+    for a in A:
+        _require_twist(k, a)
+    trunc = m_max
+
+    def twisted_exp(root: CyclotomicNumber, rate: int) -> TruncatedSeries:
+        # root * e^{rate*w} - 1; its constant term root-1 is nonzero by admissibility
+        coeffs: list = [root - CyclotomicNumber.one(k)]
+        for n in range(1, trunc + 1):
+            coeffs.append(root * Fraction(rate**n, math.factorial(n)))
+        return TruncatedSeries.from_coeffs(coeffs, trunc, k)
+
+    # Periodic side, per weight a: (k w)/(zeta^{-a} e^{aw} - 1).
+    periodic_prod = TruncatedSeries.one(trunc, k)
+    for a in A:
+        numerator = TruncatedSeries.from_coeffs([0, k], trunc, k)
+        periodic_prod = periodic_prod * numerator * twisted_exp(cyc_root(k, -a), a).inverse()
+
+    # Closed-form side, per weight a:
+    #   [k w/(e^{akw}-1)] * [(e^{-akw}-1)/(zeta^{a} e^{-aw}-1)].
+    closed_prod = TruncatedSeries.one(trunc, k)
+    for a in A:
+        stripped = TruncatedSeries.from_coeffs(
+            [Fraction((a * k) ** n, math.factorial(n + 1)) for n in range(trunc + 1)],
+            trunc,
+            k,
+        )
+        factor1 = stripped.inverse().scale(Fraction(1, a))  # k/(ak * stripped)
+        numerator2 = TruncatedSeries.from_coeffs(
+            [0] + [Fraction((-a * k) ** n, math.factorial(n)) for n in range(1, trunc + 1)],
+            trunc,
+            k,
+        )
+        factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
+        closed_prod = closed_prod * factor1 * factor2
+
+    periodic_stars = _star_table(c_star, m_max, k, A, 1)
+    closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
+    for m in range(m_max + 1):
+        scale = Fraction(math.factorial(m), k**m)
+        if periodic_prod.coeff(m) * scale != periodic_stars[m]:
+            return False
+        if closed_prod.coeff(m) * scale != closed_stars[m]:
+            return False
+    return True
+
+
+def zero_box_check(x: RationalLike, m: int, twist: TwistSpec, A) -> bool:
+    """True iff the closed form with N = 0 collapses to x^m exactly."""
+    A = _as_weights(A)
+    spec = SumSpec(A, (0,) * len(A), as_fraction(x), m, twist)
+    return closed_sum(spec) == as_fraction(x) ** m
+
+
+def check_derivative_consistency(
+    f: SmoothFunction, points: Sequence[float], rtol: float = 1e-5
+) -> bool:
+    """Spot-check that evaluator l+1 is the derivative of evaluator l.
+
+    Uses central differences with a step tuned for ~1e-8 truncation error;
+    intended for randomized validation, not for every construction.
+    """
+    h = 1e-5
+    for l in range(f.max_order):
+        g, dg = f.deriv(l), f.deriv(l + 1)
+        for x in points:
+            approx = (g(x + h) - g(x - h)) / (2 * h)
+            exact = dg(x)
+            if abs(approx - exact) > rtol * (1 + abs(exact)):
+                return False
+    return True

@@ -109,13 +109,6 @@ def closed_sum_trace(spec: SumSpec) -> list[dict]:
     ]
 
 
-def zero_box_check(x: RationalLike, m: int, twist: TwistSpec, A) -> bool:
-    """True iff the closed form with N = 0 collapses to x^m exactly."""
-    A = _as_weights(A)
-    spec = SumSpec(A, (0,) * len(A), as_fraction(x), m, twist)
-    return closed_sum(spec) == as_fraction(x) ** m
-
-
 def alternating_sum(A, N, x: RationalLike, s: int) -> CyclotomicNumber:
     """Convenience wrapper for the (-1)^{A.M} twist (k=2, t=1).
 

@@ -46,11 +46,9 @@ from .exact import (
     CyclotomicNumber,
     PolynomialX,
     RationalLike,
-    TruncatedSeries,
     _root_sum,
     as_fraction,
     binomial_convolve,
-    cyc_root,
     roots_of_unity,
 )
 
@@ -173,66 +171,6 @@ def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
     """C*_{m,k}(A_r): the multinomial convolution of the single-weight stars."""
     return _star_table(c_star, m, k, A, 1)[m]
-
-
-def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
-    """Cross-check the starred values against their generating functions.
-
-    Two identities are verified through order ``m_max``, both exactly.  The
-    multinomial convolution of the periodic stars must match the product of
-    the per-weight series z/(zeta^{-a} e^{az/k} - 1); the convolution of the
-    non-periodic stars must match the closed-form product
-
-        prod_p [z/(e^{a_p z}-1)] * [(e^{-a_p z}-1)/(zeta^{a_p} e^{-a_p z/k}-1)].
-
-    The fractional substitution z -> z/k stays inside integer-exponent series
-    arithmetic by working in w = z/k and rescaling coefficients afterwards.
-    """
-    A = _as_weights(A)
-    for a in A:
-        _require_twist(k, a)
-    trunc = m_max
-
-    def twisted_exp(root: CyclotomicNumber, rate: int) -> TruncatedSeries:
-        # root * e^{rate*w} - 1; its constant term root-1 is nonzero by admissibility
-        coeffs: list = [root - CyclotomicNumber.one(k)]
-        for n in range(1, trunc + 1):
-            coeffs.append(root * Fraction(rate**n, math.factorial(n)))
-        return TruncatedSeries.from_coeffs(coeffs, trunc, k)
-
-    # Periodic side, per weight a: (k w)/(zeta^{-a} e^{aw} - 1).
-    periodic_prod = TruncatedSeries.one(trunc, k)
-    for a in A:
-        numerator = TruncatedSeries.from_coeffs([0, k], trunc, k)
-        periodic_prod = periodic_prod * numerator * twisted_exp(cyc_root(k, -a), a).inverse()
-
-    # Closed-form side, per weight a:
-    #   [k w/(e^{akw}-1)] * [(e^{-akw}-1)/(zeta^{a} e^{-aw}-1)].
-    closed_prod = TruncatedSeries.one(trunc, k)
-    for a in A:
-        stripped = TruncatedSeries.from_coeffs(
-            [Fraction((a * k) ** n, math.factorial(n + 1)) for n in range(trunc + 1)],
-            trunc,
-            k,
-        )
-        factor1 = stripped.inverse().scale(Fraction(1, a))  # k/(ak * stripped)
-        numerator2 = TruncatedSeries.from_coeffs(
-            [0] + [Fraction((-a * k) ** n, math.factorial(n)) for n in range(1, trunc + 1)],
-            trunc,
-            k,
-        )
-        factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
-        closed_prod = closed_prod * factor1 * factor2
-
-    periodic_stars = _star_table(c_star, m_max, k, A, 1)
-    closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
-    for m in range(m_max + 1):
-        scale = Fraction(math.factorial(m), k**m)
-        if periodic_prod.coeff(m) * scale != periodic_stars[m]:
-            return False
-        if closed_prod.coeff(m) * scale != closed_stars[m]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

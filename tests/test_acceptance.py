@@ -18,12 +18,12 @@ from twistsum.bernoulli_euler import (
     bernoulli_numbers,
     classical_euler_poly,
     gen_euler_numbers,
-    gen_euler_numbers_by_convolution,
     gen_euler_poly,
 )
 from twistsum.cli import main as cli_main
 from twistsum.euler_maclaurin import SmoothFunction, em_sum_unit
-from twistsum.powersum import SumSpec, brute_sum, closed_sum, zero_box_check
+from twistsum.oracles import gen_euler_numbers_by_convolution, zero_box_check
+from twistsum.powersum import SumSpec, brute_sum, closed_sum
 from twistsum.verify import _random_admissible, _random_sum_spec
 from twistsum.zeta import ZetaSpec, decay_probe, finite_sum_asymptotic, continuation_check, zeta_accelerated
 

@@ -16,12 +16,11 @@ from twistsum.bernoulli_euler import (
     classical_euler_numbers,
     classical_euler_poly,
     gen_euler_numbers,
-    gen_euler_numbers_by_convolution,
     gen_euler_poly,
-    gen_euler_poly_partition_check,
     periodic_bernoulli,
 )
 from twistsum.exact import CyclotomicNumber, PolynomialX, TruncatedSeries
+from twistsum.oracles import gen_euler_numbers_by_convolution, gen_euler_poly_partition_check
 
 F = Fraction
 ALT = TwistSpec.alternating()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from twistsum import cli
+from twistsum import cli, zeta
 from twistsum.cli import _fail, build_parser, main
 from twistsum.exact import CyclotomicNumber, parse_rational
 from twistsum.verify import SUITE_NAMES
@@ -459,7 +459,7 @@ class TestDirectTail:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(cli, "zeta_direct", no_work)
+        monkeypatch.setattr(zeta, "zeta_direct", no_work)
         code, out, err = run_cli(
             capsys, "zeta", "--method", "direct", "--terms", terms,
             "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1",
@@ -532,6 +532,12 @@ class TestVerifyCommand:
         assert obj["failures"] == 0
         names = [r["name"] for r in obj["reports"][0]["results"]]
         assert any("field axioms" in n for n in names)
+
+    def test_suite_choices_are_the_verify_suites(self):
+        # the parser repeats the names so that building it does not import verify
+        verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+        (suite,) = [action for action in verify._actions if action.dest == "suite"]
+        assert tuple(suite.choices) == SUITE_NAMES
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "all"])

@@ -12,12 +12,12 @@ from twistsum.euler_maclaurin import (
     _GL_NODES,
     _GL_WEIGHTS,
     SmoothFunction,
-    check_derivative_consistency,
     em_sum_scaled,
     em_sum_unit,
     quad_remainder,
 )
 from twistsum.exact import roots_of_unity
+from twistsum.oracles import check_derivative_consistency
 from twistsum.twisted_c import CPolySpec, c_tilde
 
 F = Fraction

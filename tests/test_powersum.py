@@ -6,13 +6,13 @@ import pytest
 
 from twistsum.bernoulli_euler import SingularTwistError, TwistSpec, WeightVector
 from twistsum.exact import CyclotomicNumber
+from twistsum.oracles import zero_box_check
 from twistsum.powersum import (
     SumSpec,
     alternating_sum,
     brute_sum,
     closed_sum,
     closed_sum_trace,
-    zero_box_check,
 )
 from twistsum.verify import _random_sum_spec
 

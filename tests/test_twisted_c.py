@@ -5,13 +5,13 @@ import pytest
 from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
+from twistsum.oracles import c_star_multi_gf_check
 from twistsum.twisted_c import (
     _PeriodicKernel,
     CPolySpec,
     c_poly,
     c_star,
     c_star_multi,
-    c_star_multi_gf_check,
     c_star_s,
     c_star_s_exact,
     c_tilde,
