@@ -35,7 +35,7 @@ from .exact import (
     cyc_root,
 )
 from .powersum import SumSpec, closed_sum
-from .twisted_c import _c_star_nonperiodic, _require_twist, _star_table, c_star
+from .twisted_c import _c_star_nonperiodic, _periodic_stars, _require_twist, _star_table
 
 
 def gen_euler_numbers_by_convolution(
@@ -137,7 +137,7 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
         factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
         closed_prod = closed_prod * factor1 * factor2
 
-    periodic_stars = _star_table(c_star, m_max, k, A, 1)
+    periodic_stars = _periodic_stars(m_max, k, A)
     closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
     for m in range(m_max + 1):
         scale = Fraction(math.factorial(m), k**m)

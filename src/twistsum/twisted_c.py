@@ -24,6 +24,12 @@ C*_{s,m,k}(x;A_r) are built on it, matching what the zeta asymptotics need.
 ``c_star`` and ``c_star_s`` take the twist numerator t of the root
 zeta^{t a} (default 1); the constant sees only t a, the weight scaling
 a^{m-1} the raw weight.
+
+The exact table C*_{0..m,k}(A_r) behind ``c_star_multi``, ``c_star_s``,
+``c_star_s_exact`` and the zeta main terms is built once per key and kept
+for the latest 128 keys (``_periodic_stars``).  The key is m, k and the
+sorted pairs (a, t a mod k), so permuted weights and twists that agree on
+every t a mod k share one entry.
 """
 
 from __future__ import annotations
@@ -168,9 +174,35 @@ def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]
     return functools.reduce(binomial_convolve, tables)
 
 
+def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber, ...]:
+    """``_star_table(c_star, m_max, k, A, t)`` as a tuple, built once per key.
+
+    The twist is checked on every call, so an inadmissible one raises before
+    the lookup and is never cached.  c_star(l, k, a, t) sees a weight only
+    through the pair (a, t a mod k), and the convolution is symmetric in the
+    weights, so tables are keyed on m_max, k and the sorted pairs.
+    """
+    A = _as_weights(A)
+    for a in A:
+        _require_twist(k, t * a)
+    return _periodic_star_memo(m_max, k, tuple(sorted((a, t * a % k) for a in A)))
+
+
+@functools.lru_cache(maxsize=128)
+def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNumber, ...]:
+    """The table of :func:`_periodic_stars` for its key; the latest 128 keys are kept."""
+    tables = [
+        [em_constant(l, k, u) * Fraction(a) ** (l - 1) for l in range(m_max + 1)]
+        for a, u in pairs
+    ]
+    return tuple(functools.reduce(binomial_convolve, tables))
+
+
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
     """C*_{m,k}(A_r): the multinomial convolution of the single-weight stars."""
-    return _star_table(c_star, m, k, A, 1)[m]
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return _periodic_stars(m, k, A)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +237,7 @@ def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
     """
     if not (x > 0):
         raise ValueError("x must be positive (principal branch)")
-    return _c_star_s_from_table(s, k, x, _star_table(c_star, m, k, A, t))
+    return _c_star_s_from_table(s, k, x, _periodic_stars(m, k, A, t))
 
 
 def _c_star_s_from_table(s: complex, k: int, x: float, stars) -> complex:
@@ -231,7 +263,7 @@ def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A) -> CyclotomicNumb
         raise ValueError("integer order n must be at least the truncation m")
     xq = as_fraction(x)
     total = CyclotomicNumber.zero(k)
-    for j, star in enumerate(_star_table(c_star, m, k, A, 1)):
+    for j, star in enumerate(_periodic_stars(m, k, A)):
         if star.is_zero():
             continue
         term = star * ((-k) ** j * math.comb(n, j)) * xq ** (n - j)

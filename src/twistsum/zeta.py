@@ -23,10 +23,14 @@ value only within its tolerance and otherwise raises with its best estimate.
 
 whose truncation error decays as x grows; it is exact for integer sigma >= 0
 once q >= sigma + r (cross-checked against the generalized Euler polynomials
-in the test suite).  ``finite_sum_asymptotic`` combines these main terms over
-the nonempty corner subsets with an accelerated zeta term to approximate the
-exact finite box sum, and ``decay_probe`` measures empirical error decay
-against the predicted exponent Re(sigma) - q + 2.
+in the test suite).  The star table C*_{0..q,k}(A_r) behind it does not
+depend on x; it is read from the bounded memo of ``twisted_c``, so every
+shift of one (q, k, t, A) shares one exact build.  ``finite_sum_asymptotic``
+combines these main terms over the nonempty corner subsets with an
+accelerated zeta term to approximate the exact finite box sum, and
+``decay_probe`` measures empirical error decay against the predicted
+exponent Re(sigma) - q + 2; its limits probe evaluates the continuation
+once, since Z(s, x) does not depend on the box.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, _bernoulli_ratio, gen_euler_poly
 from .exact import CyclotomicNumber, _root_sum, as_fraction, roots_of_unity
-from .twisted_c import _c_star_s_from_table, _star_table, c_star, pochhammer
+from .twisted_c import _c_star_s_from_table, _periodic_stars, pochhammer
 
 
 class AccelerationError(RuntimeError):
@@ -394,16 +398,15 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     exact for nonnegative integer sigma with q >= sigma + r; for non-integer
     sigma the truncation error decays as x grows (see ``decay_probe``).
     """
-    return _main_term(spec, spec.x, _stars(spec))
+    return _main_term(spec, spec.x)
 
 
-def _stars(spec: ZetaSpec) -> list:
-    """The star table [C*_{0,k}(A_r), ..., C*_{q,k}(A_r)] of the main term."""
-    return _star_table(c_star, spec.effective_q(), spec.twist.k, spec.A, spec.twist.t)
+def _main_term(spec: ZetaSpec, x: float) -> complex:
+    """:func:`zeta_asymptotic` at shift x.
 
-
-def _main_term(spec: ZetaSpec, x: float, stars: list) -> complex:
-    """:func:`zeta_asymptotic` at shift x, from the star table ``_stars(spec)``."""
+    The star table depends on q, k, t and A but not on x, so every shift of
+    one spec reads the same memoized table (``twisted_c._periodic_stars``).
+    """
     sigma = spec.sigma()
     if sigma.real <= -1:
         raise ValueError("need Re(sigma) > -1 for the asymptotic main term")
@@ -418,6 +421,7 @@ def _main_term(spec: ZetaSpec, x: float, stars: list) -> complex:
         * roots_of_unity(k)[t * weight_total % k].conjugate()
         / (k**r * pochhammer(sigma + 1, r))
     )
+    stars = _periodic_stars(spec.effective_q(), k, spec.A, t)
     return prefactor * _c_star_s_from_table(sigma + r, k, arg, stars)
 
 
@@ -428,9 +432,20 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     contributes (-1)^{|S|} zeta^{t A_S.(N_S+1)} times the asymptotic main
     term at shift x + A_S.(N_S+1); the empty subset contributes the
     accelerated continuation Z(s, x) to tolerance ``tol``.  Everything is
-    scaled by 1/2^r.  The main terms differ only in their shift, so they
-    share one star table.  When the continuation stalls, its best estimate
-    goes through the same corners into the raised AccelerationError.
+    scaled by 1/2^r.  When the continuation stalls, its best estimate goes
+    through the same corners into the raised AccelerationError.
+    """
+    return _corner_sum(spec, N, tol)[0]
+
+
+def _corner_sum(
+    spec: ZetaSpec, N: Sequence[int], tol: float, continuation: Optional[complex] = None
+) -> tuple[complex, complex]:
+    """(finite_sum_asymptotic(spec, N, tol), Z(s, x)).
+
+    Z(s, x) does not depend on N, so a caller that sums several boxes passes
+    the continuation returned for the first one, and it is not evaluated
+    again.
     """
     r = len(spec.A)
     corners = spec.A.corners(N)  # checks the limits before any work
@@ -438,19 +453,19 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     roots = roots_of_unity(k)
 
     def with_corners(total: complex) -> complex:
-        stars = _stars(spec)
         for indices, shift, sign in corners:
             if indices:
-                total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift), stars)
+                total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift))
         return total / (2**r)
 
-    try:
-        value = zeta_accelerated(spec, tol=tol)
-    except AccelerationError as exc:
-        if exc.best_estimate is None:
-            raise
-        raise AccelerationError(str(exc), with_corners(exc.best_estimate), exc.achieved_tol) from exc
-    return with_corners(value)
+    if continuation is None:
+        try:
+            continuation = zeta_accelerated(spec, tol=tol)
+        except AccelerationError as exc:
+            if exc.best_estimate is None:
+                raise
+            raise AccelerationError(str(exc), with_corners(exc.best_estimate), exc.achieved_tol) from exc
+    return with_corners(continuation), continuation
 
 
 def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
@@ -575,7 +590,9 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence, tol: float = 1e-1
     ``zeta_asymptotic`` with ``zeta_accelerated``; ``target="limits"``
     varies the limits N uniformly over all axes and compares
     ``finite_sum_asymptotic`` with the exact finite sum.  Both evaluate the
-    accelerated continuation to tolerance ``tol``.
+    accelerated continuation to tolerance ``tol``: the shift probe once per
+    shift, the limits probe once in all, at the first scale, where a stall
+    raises as ``finite_sum_asymptotic`` would for that box.
     """
     _require_tol(tol)
     if len(scales) < 3:
@@ -593,10 +610,12 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence, tol: float = 1e-1
             magnitudes.append(abs(reference))
     elif target == "limits":
         r = len(spec.A)
+        continuation = None  # Z(s, x), evaluated at the first scale only
         for n in scales:
             N = (int(n),) * r
             reference = finite_sum_direct(spec, N)
-            err = abs(finite_sum_asymptotic(spec, N, tol=tol) - reference)
+            value, continuation = _corner_sum(spec, N, tol, continuation)
+            err = abs(value - reference)
             points.append((float(n), err))
             magnitudes.append(abs(reference))
     else:

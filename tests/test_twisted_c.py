@@ -6,8 +6,11 @@ from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
 from twistsum.oracles import c_star_multi_gf_check
+from twistsum import twisted_c
 from twistsum.twisted_c import (
     _PeriodicKernel,
+    _periodic_stars,
+    _star_table,
     CPolySpec,
     c_poly,
     c_star,
@@ -198,6 +201,10 @@ class TestCStar:
         assert c_star_multi(1, 2, (1, 1)).is_zero()
         assert c_star_multi(2, 2, (1, 1)) == F(1, 2)
 
+    def test_multi_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            c_star_multi(-1, 3, (1, 2))
+
     def test_gf_cross_checks(self):
         assert c_star_multi_gf_check(4, 2, (1,))
         assert c_star_multi_gf_check(4, 3, (1, 2))
@@ -206,6 +213,65 @@ class TestCStar:
     def test_gf_check_rejects_singular(self):
         with pytest.raises(SingularTwistError):
             c_star_multi_gf_check(3, 2, (2,))
+
+
+def _literal(table):
+    return [(c.order, c.coeffs) for c in table]
+
+
+class TestStarMemo:
+    def setup_method(self):
+        twisted_c._periodic_star_memo.cache_clear()
+
+    def test_memo_equals_the_uncached_table(self):
+        for k in range(2, 13):
+            for t in range(k):
+                weights = [a for a in range(1, 2 * k) if t * a % k]
+                if len(weights) < 2:
+                    continue
+                a, b = weights[0], weights[-1]
+                for i, A in enumerate([(a,), (a, b), (b, a), (b, a, b)]):
+                    q = (k + t + 3 * i) % 13  # every q <= 12 occurs
+                    memo = _periodic_stars(q, k, A, t)
+                    assert isinstance(memo, tuple)
+                    assert _literal(memo) == _literal(_star_table(c_star, q, k, A, t))
+
+    def test_keys_with_the_same_pairs_share_one_entry(self):
+        memo = twisted_c._periodic_star_memo
+        # k = 4, A = (2, 2): t a mod k is 2 at t = 1 and at t = 3
+        assert _periodic_stars(5, 4, (2, 2), 1) is _periodic_stars(5, 4, (2, 2), 3)
+        assert _periodic_stars(5, 4, (1, 3)) is _periodic_stars(5, 4, (3, 1))
+        assert memo.cache_info().misses == 2
+        assert memo.cache_info().hits == 2
+
+    def test_every_periodic_star_caller_reads_the_memo(self):
+        memo = twisted_c._periodic_star_memo
+        c_star_multi(4, 3, (1, 2))
+        c_star_s(2.5, 4, 3, 9.0, (2, 1))
+        c_star_s_exact(5, 4, 3, F(9), (1, 2))
+        assert memo.cache_info().misses == 1
+
+    def test_the_bound_evicts_the_oldest_key(self):
+        memo = twisted_c._periodic_star_memo
+        first = _periodic_stars(1, 2, (1,))
+        for a in range(3, 2 * 129, 2):  # 128 more distinct weights
+            _periodic_stars(1, 2, (a,))
+        assert memo.cache_info().currsize == 128
+        assert memo.cache_info().misses == 129
+        assert _periodic_stars(1, 2, (1,)) == first
+        assert memo.cache_info().misses == 130
+
+    def test_inadmissible_twist_raises_on_every_call(self):
+        memo = twisted_c._periodic_star_memo
+        _periodic_stars(3, 4, (1, 2), 1)
+        for _ in range(2):
+            with pytest.raises(SingularTwistError):
+                _periodic_stars(3, 4, (1, 2), 2)  # 4 divides t a = 4
+            with pytest.raises(SingularTwistError):
+                c_star_multi(3, 2, (1, 2))
+            with pytest.raises(ValueError, match="modulus k"):
+                _periodic_stars(3, 1, (1,))
+        assert memo.cache_info().currsize == 1
 
 
 class TestPochhammer:

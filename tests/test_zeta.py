@@ -9,6 +9,7 @@ import pytest
 
 from twistsum import bernoulli_euler as be
 from twistsum.bernoulli_euler import TwistSpec, gen_euler_poly
+from twistsum import twisted_c
 from twistsum import zeta as zeta_mod
 from twistsum.exact import roots_of_unity
 from twistsum.powersum import SumSpec, closed_sum
@@ -718,7 +719,7 @@ class TestFiniteSum:
         exact = float(closed_sum(SumSpec.of((1,), (9,), 1, 2, 2, 1)).as_rational())
         assert direct.real == pytest.approx(exact, abs=1e-9)
 
-    def test_corner_terms_share_one_star_table(self, monkeypatch):
+    def test_corner_terms_share_one_star_table(self):
         spec = spec_of(-1.5, 0.5, 5, 2, (1, 3), q=4)
         N = (30, 30)
         # the per-corner evaluation through zeta_asymptotic, bit for bit
@@ -728,16 +729,12 @@ class TestFiniteSum:
                 root = zeta_mod.roots_of_unity(5)[spec.twist.t * shift % 5]
                 reference += sign * root * zeta_asymptotic(spec.with_x(spec.x + shift))
         reference /= 4
-        builds = []
-        real_table = zeta_mod._star_table
-
-        def counting_table(*args):
-            builds.append(args)
-            return real_table(*args)
-
-        monkeypatch.setattr(zeta_mod, "_star_table", counting_table)
+        memo = twisted_c._periodic_star_memo
+        memo.cache_clear()
         assert finite_sum_asymptotic(spec, N) == reference
-        assert len(builds) == 1
+        assert memo.cache_info().misses == 1  # one build on a cold memo
+        assert finite_sum_asymptotic(spec, N) == reference
+        assert memo.cache_info().misses == 1  # and none once it is warm
 
     def test_limit_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -764,7 +761,8 @@ class TestFiniteSum:
         finite_sum_asymptotic(spec, (30, 30), tol=1e-3)
         decay_probe("limits", spec, [8, 16, 32], tol=1e-4)
         decay_probe("shift", spec.with_x(10), [10, 20, 40], tol=1e-5)
-        assert seen == [1e-3] + [1e-4] * 3 + [1e-5] * 3
+        # the limits probe evaluates Z(s, x) once, the shift probe once per shift
+        assert seen == [1e-3] + [1e-4] + [1e-5] * 3
 
     def test_small_limits_still_return_a_value(self):
         # accuracy degrades at tiny N but the formula stays defined
@@ -773,6 +771,19 @@ class TestFiniteSum:
         exact = finite_sum_direct(spec, (0,))
         assert math.isfinite(value.real)
         assert abs(value - exact) < 0.5
+
+
+def count_continuations(monkeypatch) -> list:
+    """Record every call of zeta.zeta_accelerated from now on."""
+    calls = []
+    accelerated = zeta_mod.zeta_accelerated
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return accelerated(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "zeta_accelerated", counting)
+    return calls
 
 
 class TestDecayProbe:
@@ -794,6 +805,32 @@ class TestDecayProbe:
         spec = spec_of(0.5, 1.0, 4, 1, (1, 3), q=2)
         report = decay_probe("limits", spec, [8, 16, 32])
         assert report.monotone_decreasing
+
+    def test_limit_probe_evaluates_the_continuation_once(self, monkeypatch):
+        spec = spec_of(0.5, 1.0, 4, 1, (1, 3), q=2)
+        scales = [8, 16, 32]
+        # the per-scale finite sums, bit for bit
+        expected = [
+            (float(n), abs(finite_sum_asymptotic(spec, (n, n)) - finite_sum_direct(spec, (n, n))))
+            for n in scales
+        ]
+        calls = count_continuations(monkeypatch)
+        assert decay_probe("limits", spec, scales).points == tuple(expected)
+        assert len(calls) == 1
+
+    def test_limit_probe_stall_raises_at_the_first_scale(self, monkeypatch):
+        spec = spec_of(0.5, 3.5, 3, 1, (1,))
+        with pytest.raises(AccelerationError) as info:
+            finite_sum_asymptotic(spec, (10,), tol=1e-30)
+        expected = info.value
+        calls = count_continuations(monkeypatch)
+        with pytest.raises(AccelerationError) as info:
+            decay_probe("limits", spec, [10, 20, 40], tol=1e-30)
+        assert len(calls) == 1
+        assert str(info.value) == str(expected)
+        # the estimate has gone through the corners of the first scale's box
+        assert info.value.best_estimate == expected.best_estimate
+        assert info.value.achieved_tol == expected.achieved_tol
 
     def test_slope_matches_polyfit(self):
         np = pytest.importorskip("numpy")
