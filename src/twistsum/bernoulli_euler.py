@@ -55,6 +55,20 @@ class SingularTwistError(ValueError):
     """Raised when a twist makes a generating-function factor singular at z=0."""
 
 
+def _check_twist(k: int, t: int, a: int) -> None:
+    """The admissibility rule of every entry: k >= 2 and k does not divide t*a.
+
+    The factor 1 - zeta_k^{t a} e^{a z} of the generating function has a pole
+    at z = 0 exactly when k | t*a, and k = 1 makes every factor singular.
+    """
+    if k < 2:
+        raise ValueError("modulus k must be at least 2")
+    if t * a % k == 0:
+        raise SingularTwistError(
+            f"singular twist: k={k} divides t*a = {t}*{a}, so weight {a} is inadmissible"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class TwistSpec:
     """The twist j = 2*pi*i*t/k; the alternating case is k=2, t=1."""
@@ -76,8 +90,12 @@ class TwistSpec:
         return cyc_root(self.k, self.t * power)
 
     def admits(self, a: int) -> bool:
-        """True when e^{a j} != 1, i.e. k does not divide t*a."""
-        return (self.t * a) % self.k != 0
+        """True when e^{a j} != 1, i.e. k does not divide t*a (:func:`_check_twist`)."""
+        try:
+            _check_twist(self.k, self.t, a)
+        except ValueError:
+            return False
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,10 +168,7 @@ class WeightVector:
 
     def require_admissible(self, twist: TwistSpec) -> None:
         for a in self.entries:
-            if not twist.admits(a):
-                raise SingularTwistError(
-                    f"singular twist: k={twist.k} divides t*a = {twist.t}*{a}"
-                )
+            _check_twist(twist.k, twist.t, a)
 
 
 def _as_weights(A) -> WeightVector:

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .bernoulli_euler import _check_twist
 from .exact import roots_of_unity
-from .twisted_c import _periodic_kernel, _require_twist, em_constant
+from .twisted_c import _periodic_kernel, em_constant
 
 # 16-point Gauss-Legendre rule on [-1, 1], the doubles of
 # numpy.polynomial.legendre.leggauss(16) (tests compare them bit for bit)
@@ -128,6 +129,7 @@ def quad_remainder(
     directly.  Cells are visited one at a time and f^{(q)} is called node by
     node, so the working memory does not grow with the number of cells.
     """
+    _check_twist(k, 1, a)
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     if lo == hi:
@@ -165,11 +167,13 @@ def quad_remainder(
     return sign * total / math.factorial(q)
 
 
-def em_sum_unit(
+# Shared by the two public forms so that em_sum_scaled does not run (and is
+# not timed or counted) as a nested call of em_sum_unit.
+def _main_and_remainder(
     f: SmoothFunction, m: int, n: int, k: int, a: int, q: int
-) -> EMResult:
-    """The unit-interval formulation over [m, n] with truncation depth q."""
-    _require_twist(k, a)
+) -> tuple[complex, complex]:
+    """The unit form's main terms and remainder over [m, n]; every argument is checked first."""
+    _check_twist(k, 1, a)
     if m >= n:
         raise ValueError("need m < n")
     if q < 1:
@@ -182,18 +186,21 @@ def em_sum_unit(
         c = em_constant(l, k, a).embed()
         sign = 1.0 if l % 2 == 0 else -1.0
         main += c * sign / math.factorial(l) * (f.deriv(l - 1)(n) - f.deriv(l - 1)(m))
+    return main, quad_remainder(q, k, a, f.deriv(q), m, n)
 
-    remainder = quad_remainder(q, k, a, f.deriv(q), m, n)
 
+def em_sum_unit(
+    f: SmoothFunction, m: int, n: int, k: int, a: int, q: int
+) -> EMResult:
+    """The unit-interval formulation over [m, n] with truncation depth q."""
+    main, remainder = _main_and_remainder(f, m, n, k, a, q)
     table = roots_of_unity(k)
     roots = [table[a * l % k] for l in range(1, k + 1)]
     direct = 0j
     for r in range(m, n):
         for l in range(1, k + 1):
             direct += roots[l - 1] * f(r + l / k)
-
-    total = main + remainder
-    return EMResult(main_terms=main, remainder=remainder, total=total, direct=direct)
+    return EMResult(main_terms=main, remainder=remainder, total=main + remainder, direct=direct)
 
 
 def em_sum_scaled(
@@ -205,15 +212,9 @@ def em_sum_scaled(
     which is the defining reduction; only the direct sum is computed on the
     integer lattice.
     """
-    _require_twist(k, a)
-    unit = em_sum_unit(g.rescaled(k), m, n, k, a, q)
+    main, remainder = _main_and_remainder(g.rescaled(k), m, n, k, a, q)
     roots = roots_of_unity(k)
     direct = 0j
     for r in range(m * k + 1, n * k + 1):
         direct += roots[a * r % k] * g(r)
-    return EMResult(
-        main_terms=unit.main_terms,
-        remainder=unit.remainder,
-        total=unit.total,
-        direct=direct,
-    )
+    return EMResult(main_terms=main, remainder=remainder, total=main + remainder, direct=direct)

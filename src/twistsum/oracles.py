@@ -14,6 +14,7 @@ into it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +36,23 @@ from .exact import (
     cyc_root,
 )
 from .powersum import SumSpec, closed_sum
-from .twisted_c import _c_star_nonperiodic, _periodic_stars, _require_twist, _star_table
+from .twisted_c import _c_number, _periodic_stars
+
+
+def _c_star_nonperiodic(m: int, k: int, a: int, t: int) -> CyclotomicNumber:
+    """C_{m,k}(0; t a) * a^{m-1}: the star built on the polynomial value."""
+    return _c_number(m, k, t * a) * Fraction(a) ** (m - 1)
+
+
+def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]:
+    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] from the stars single(l, k, a, t), uncached.
+
+    Entry m is the sum over l_1+..+l_r = m of multinomial(m; l..) times
+    prod_i single(l_i, k, a_i, t): the per-weight tables binomially convolved.
+    ``_c_star_nonperiodic`` checks no twist, so its callers check it first.
+    """
+    tables = [[single(l, k, a, t) for l in range(m_max + 1)] for a in _as_weights(A)]
+    return functools.reduce(binomial_convolve, tables)
 
 
 def gen_euler_numbers_by_convolution(
@@ -102,8 +119,7 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
     arithmetic by working in w = z/k and rescaling coefficients afterwards.
     """
     A = _as_weights(A)
-    for a in A:
-        _require_twist(k, a)
+    periodic_stars = _periodic_stars(m_max, k, A)  # refuses m_max < 0 and a bad twist first
     trunc = m_max
 
     def twisted_exp(root: CyclotomicNumber, rate: int) -> TruncatedSeries:
@@ -137,7 +153,6 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
         factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
         closed_prod = closed_prod * factor1 * factor2
 
-    periodic_stars = _periodic_stars(m_max, k, A)
     closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
     for m in range(m_max + 1):
         scale = Fraction(math.factorial(m), k**m)

@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli_euler import (
-    SingularTwistError,
-    TwistSpec,
-    WeightVector,
-    _as_weights,
-    gen_euler_poly,
-)
+from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import CyclotomicNumber, RationalLike, _root_sum, as_fraction
 
 
@@ -41,10 +35,7 @@ class SumSpec:
     twist: TwistSpec
 
     def __post_init__(self):
-        if len(self.N) != len(self.A):
-            raise ValueError("limits and weights must have the same length")
-        if any(n < 0 for n in self.N):
-            raise ValueError("limits must be nonnegative")
+        self.A._require_limits(self.N)
         if self.s < 0:
             raise ValueError("exponent s must be a nonnegative integer")
         if self.x < 0:
@@ -113,12 +104,6 @@ def alternating_sum(A, N, x: RationalLike, s: int) -> CyclotomicNumber:
     """Convenience wrapper for the (-1)^{A.M} twist (k=2, t=1).
 
     Every weight must be odd; an even weight makes (-1)^{a} = 1 and the
-    corresponding generating factor singular.
+    corresponding generating factor singular, which :class:`SumSpec` refuses.
     """
-    A = _as_weights(A)
-    for a in A:
-        if a % 2 == 0:
-            raise SingularTwistError(
-                f"inadmissible weight {a}: (-1)^{a} = 1 makes the generating factor singular"
-            )
-    return closed_sum(SumSpec(A, tuple(int(n) for n in N), as_fraction(x), s, TwistSpec.alternating()))
+    return closed_sum(SumSpec.of(A, N, x, s, 2, 1))

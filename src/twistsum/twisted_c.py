@@ -29,7 +29,9 @@ The exact table C*_{0..m,k}(A_r) behind ``c_star_multi``, ``c_star_s``,
 ``c_star_s_exact`` and the zeta main terms is built once per key and kept
 for the latest 128 keys (``_periodic_stars``).  The key is m, k and the
 sorted pairs (a, t a mod k), so permuted weights and twists that agree on
-every t a mod k share one entry.
+every t a mod k share one entry.  ``_periodic_stars`` is the one gate of
+every table read: it refuses m < 0 and an inadmissible twist before the
+lookup.  The twist rule itself is ``bernoulli_euler._check_twist``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from fractions import Fraction
 from typing import Union
 
 from .bernoulli_euler import (
-    SingularTwistError,
     _as_weights,
     _bernoulli_value,
     _binomial_assembly,
+    _check_twist,
     bernoulli_numbers,
     periodic_bernoulli,
 )
@@ -59,13 +61,6 @@ from .exact import (
 )
 
 
-def _require_twist(k: int, a: int) -> None:
-    if k < 2:
-        raise ValueError("modulus k must be at least 2")
-    if a % k == 0:
-        raise SingularTwistError(f"singular twist: k={k} divides a={a}")
-
-
 @dataclass(frozen=True, slots=True)
 class CPolySpec:
     """Index (n, k, a) with k >= 2 and k not dividing a."""
@@ -77,7 +72,7 @@ class CPolySpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("degree index n must be nonnegative")
-        _require_twist(self.k, self.a)
+        _check_twist(self.k, 1, self.a)
 
 
 def _c_number(m: int, k: int, a: int) -> CyclotomicNumber:
@@ -104,10 +99,12 @@ def c_tilde(spec: CPolySpec, x: Union[RationalLike, float]) -> Union[CyclotomicN
 
 
 class _PeriodicKernel:
-    """Float evaluator for C~_{q,k}(x;a); smooth between consecutive j/k."""
+    """Float evaluator for C~_{q,k}(x;a); smooth between consecutive j/k.
+
+    Its callers (``c_tilde``, ``euler_maclaurin.quad_remainder``) check the twist.
+    """
 
     def __init__(self, n: int, k: int, residue: int):
-        _require_twist(k, residue)
         self.n, self.k = n, k
         numbers = bernoulli_numbers(n)
         self._bcoeffs = [float(math.comb(n, i) * numbers[n - i]) for i in range(n + 1)]
@@ -157,40 +154,28 @@ def c_star(m: int, k: int, a: int, t: int = 1) -> CyclotomicNumber:
     return em_constant(m, k, t * a) * Fraction(a) ** (m - 1)
 
 
-def _c_star_nonperiodic(m: int, k: int, a: int, t: int) -> CyclotomicNumber:
-    return _c_number(m, k, t * a) * Fraction(a) ** (m - 1)
-
-
-def _star_table(single, m_max: int, k: int, A, t: int) -> list[CyclotomicNumber]:
-    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] from the stars single(l, k, a, t).
-
-    Entry m is the sum over l_1+..+l_r = m of multinomial(m; l..) times
-    prod_i single(l_i, k, a_i, t): the per-weight tables binomially convolved.
-    """
-    A = _as_weights(A)
-    for a in A:
-        _require_twist(k, t * a)
-    tables = [[single(l, k, a, t) for l in range(m_max + 1)] for a in A]
-    return functools.reduce(binomial_convolve, tables)
-
-
 def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber, ...]:
-    """``_star_table(c_star, m_max, k, A, t)`` as a tuple, built once per key.
+    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] as a tuple, built once per key.
 
-    The twist is checked on every call, so an inadmissible one raises before
-    the lookup and is never cached.  c_star(l, k, a, t) sees a weight only
-    through the pair (a, t a mod k), and the convolution is symmetric in the
-    weights, so tables are keyed on m_max, k and the sorted pairs.
+    The gate of every star-table read: m_max and the twist are checked on
+    every call, so a bad one raises before the lookup and is never cached.
     """
+    if m_max < 0:
+        raise ValueError("m must be nonnegative")
     A = _as_weights(A)
     for a in A:
-        _require_twist(k, t * a)
+        _check_twist(k, t, a)
     return _periodic_star_memo(m_max, k, tuple(sorted((a, t * a % k) for a in A)))
 
 
 @functools.lru_cache(maxsize=128)
 def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNumber, ...]:
-    """The table of :func:`_periodic_stars` for its key; the latest 128 keys are kept."""
+    """The table of :func:`_periodic_stars`; the latest 128 keys are kept.
+
+    The per-weight tables of c_star(l, k, a, t), binomially convolved.  Each
+    sees a weight only through the pair (a, t a mod k), and the convolution is
+    symmetric in the weights, so tables are keyed on m_max, k and the sorted pairs.
+    """
     tables = [
         [em_constant(l, k, u) * Fraction(a) ** (l - 1) for l in range(m_max + 1)]
         for a, u in pairs
@@ -200,8 +185,6 @@ def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNum
 
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
     """C*_{m,k}(A_r): the multinomial convolution of the single-weight stars."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     return _periodic_stars(m, k, A)[m]
 
 

@@ -422,7 +422,7 @@ def suite_cvalues(seed: int) -> SuiteReport:
             k = rng.choice((2, 3, 4))
             r = rng.randint(1, 2)
             A = tuple(a for a in (rng.randint(1, 4) for _ in range(r)))
-            if any(a % k == 0 for a in A):
+            if not WeightVector(A).admissible_for(TwistSpec(k, 1)):
                 continue
             m = rng.randint(0, 3)
             n = m + rng.randint(0, 3)

@@ -13,8 +13,9 @@ in d, so Z(-m, x) is a finite sum of Hurwitz values -B_{n+1}(v)/(n+1) in
 Q(zeta_k), embedded once.  That sum grows with the period lcm(k, A); past a
 fixed limit the value is the generalized Euler polynomial E_m(x, j; A_r),
 built and evaluated at x.  Every other order takes an iterated,
-twist-weighted Euler transformation applied axis by axis, which returns a
-value only within its tolerance and otherwise raises with its best estimate.
+twist-weighted Euler transformation applied axis by axis over a fixed number
+of terms per axis (``_ACCEL_TERMS``), which returns a value only within its
+tolerance and otherwise raises with its best estimate.
 
 ``zeta_asymptotic`` evaluates the closed-form main term
 
@@ -71,8 +72,6 @@ class ZetaSpec:
     q: Optional[int] = None
 
     def __post_init__(self):
-        if self.twist.k < 2:
-            raise ValueError("twist modulus k must be at least 2")
         if not (cmath.isfinite(self.s) and math.isfinite(self.x)):
             raise ValueError("decay order s and shift x must be finite")
         if self.x < 0:
@@ -192,7 +191,7 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
 # iterated twist-weighted Euler transformation
 # ---------------------------------------------------------------------------
 
-_ACCEL_TERMS = 56  # the default terms per axis of the nested transformation
+_ACCEL_TERMS = 56  # the terms per axis of the nested transformation
 _COUNT_LIMIT = 64  # the largest lcm(k, A) * r summed from lattice-point counts
 
 
@@ -245,20 +244,18 @@ def _accelerate(
     return best, best_delta, False
 
 
-def zeta_accelerated(
-    spec: ZetaSpec, tol: float = 1e-10, terms_per_axis: int = _ACCEL_TERMS
-) -> complex:
+def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
     """The analytic continuation Z(s, x): exact at integer orders s = -m <= 0,
     and otherwise the iterated Euler transformation.
 
     At s = -m the value is computed exactly in Q(zeta_k) and embedded once;
-    ``tol`` and ``terms_per_axis`` do not affect it.  While the period
+    ``tol`` does not affect it.  While the period
     P = lcm(k, A) keeps P * r within ``_COUNT_LIMIT`` it is summed from the
     lattice-point counts (:func:`_integer_order_value`), whose work grows with
     P * r; past it, the generalized Euler polynomial E_m(x, j; A_r) is built
     and evaluated at x, whose work depends on m, k and r only.  An order whose
-    terms would overflow on the float path's box is refused first, with the
-    complex power's OverflowError.
+    terms would overflow on the float path's box of ``_ACCEL_TERMS`` terms per
+    axis is refused first, with the complex power's OverflowError.
 
     Every other order takes the nested transformation (:func:`_transform`).
     Re(s) may be nonpositive; polynomially growing blocked terms are the
@@ -272,24 +269,18 @@ def zeta_accelerated(
     :class:`AccelerationError` carries the best estimate and the error
     achieved.
 
-    Raises ValueError before any work unless ``tol`` is finite and positive
-    and ``terms_per_axis`` leaves at least one pass (two terms).
+    Raises ValueError before any work unless ``tol`` is finite and positive.
     """
     _require_tol(tol)
-    if terms_per_axis < 2:
-        raise ValueError("terms_per_axis must be at least 2")
     if spec.s.imag == 0 and spec.s.real <= 0 and spec.s.real.is_integer():
         # the float path's last term, at the largest base x + sum_l a_l (T - 1)
-        # of its box, raises its OverflowError here; the box is never taken
-        # shorter than the default, so a short one cannot admit an order whose
-        # exact value costs like m^2
-        terms = max(terms_per_axis, _ACCEL_TERMS)
-        _term_power(spec.x + sum(a * (terms - 1) for a in spec.A.entries), -spec.s)
+        # of its box, raises its OverflowError here
+        _term_power(spec.x + sum(a * (_ACCEL_TERMS - 1) for a in spec.A.entries), -spec.s)
         if math.lcm(spec.twist.k, *spec.A.entries) * len(spec.A) > _COUNT_LIMIT:
             m = -int(spec.s.real)
             return gen_euler_poly(m, spec.twist, spec.A).eval_exact(Fraction(spec.x)).embed()
         return _integer_order_value(spec).embed()
-    return _transform(spec, tol, terms_per_axis)
+    return _transform(spec, tol)
 
 
 def _integer_order_value(spec: ZetaSpec) -> CyclotomicNumber:
@@ -348,19 +339,20 @@ def _shifted_fit(values: Sequence[int], a: int, b: int) -> list:
     return coeffs
 
 
-def _transform(spec: ZetaSpec, tol: float, terms_per_axis: int) -> complex:
+def _transform(spec: ZetaSpec, tol: float) -> complex:
     """The nested Euler transformation of :func:`zeta_accelerated`, at any order.
 
-    ``zeta_accelerated`` takes it at non-integer and complex orders; at an
-    integer order it is the float check of the exact value.
+    Every axis takes ``_ACCEL_TERMS`` terms.  ``zeta_accelerated`` takes it at
+    non-integer and complex orders; at an integer order it is the float check
+    of the exact value.
     """
     k = spec.twist.k
     weights = spec.A.entries
     r = len(weights)
     tables = [_axis_roots(k, spec.twist.t * a) for a in weights]
     power = -spec.s
-    innermost_scales = [tables[0][n % k] for n in range(terms_per_axis)]
-    innermost_offsets = range(0, weights[0] * terms_per_axis, weights[0])
+    innermost_scales = [tables[0][n % k] for n in range(_ACCEL_TERMS)]
+    innermost_offsets = range(0, weights[0] * _ACCEL_TERMS, weights[0])
 
     def axis_value(level: int, shift: float, level_tol: float) -> complex:
         a = weights[level]
@@ -372,7 +364,7 @@ def _transform(spec: ZetaSpec, tol: float, terms_per_axis: int) -> complex:
             inner_tol = level_tol / 10.0
             terms = [
                 table[n % k] * axis_value(level - 1, shift + a * n, inner_tol)
-                for n in range(terms_per_axis)
+                for n in range(_ACCEL_TERMS)
             ]
         value, achieved, converged = _accelerate(terms, w, level_tol)
         if not converged:
@@ -406,6 +398,9 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
 
     The star table depends on q, k, t and A but not on x, so every shift of
     one spec reads the same memoized table (``twisted_c._periodic_stars``).
+    When q >= r the sum's first nonzero term, at C*_r, takes the power
+    arg^sigma; it is taken before the table is read, so an order at which it
+    overflows raises that OverflowError before any build.
     """
     sigma = spec.sigma()
     if sigma.real <= -1:
@@ -421,7 +416,10 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
         * roots_of_unity(k)[t * weight_total % k].conjugate()
         / (k**r * pochhammer(sigma + 1, r))
     )
-    stars = _periodic_stars(spec.effective_q(), k, spec.A, t)
+    q = spec.effective_q()
+    if q >= r:
+        complex(arg) ** (sigma + r - r)  # the first term's power, which may overflow
+    stars = _periodic_stars(q, k, spec.A, t)
     return prefactor * _c_star_s_from_table(sigma + r, k, arg, stars)
 
 

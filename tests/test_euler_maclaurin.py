@@ -216,6 +216,25 @@ class TestScaledForm:
         res = em_sum_scaled(SmoothFunction.from_poly_coeffs([0, 0, 1]), 0, 2, 3, 2, 3)
         assert res.abs_error < 1e-10
 
+    def test_one_direct_sum(self):
+        base = SmoothFunction.from_poly_coeffs([1, 2, -1, 1])
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return base(x)
+
+        m, n, k = -1, 2, 3
+        scaled = em_sum_scaled(SmoothFunction((g,) + base.evaluators[1:]), m, n, k, 1, 4)
+        # the l = 1 main term reads g at both ends, the direct sum at r = mk+1..nk
+        assert len(calls) == 2 + (n - m) * k
+        unit = em_sum_unit(base.rescaled(k), m, n, k, 1, 4)
+        assert (scaled.main_terms, scaled.remainder, scaled.total) == (
+            unit.main_terms,
+            unit.remainder,
+            unit.total,
+        )
+
     def test_reduction_to_unit_form(self):
         g = SmoothFunction.from_poly_coeffs([1, 2, -1, 1])
         for k in (2, 3, 4):

@@ -5,12 +5,11 @@ import pytest
 from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
-from twistsum.oracles import c_star_multi_gf_check
+from twistsum.oracles import _star_table, c_star_multi_gf_check
 from twistsum import twisted_c
 from twistsum.twisted_c import (
     _PeriodicKernel,
     _periodic_stars,
-    _star_table,
     CPolySpec,
     c_poly,
     c_star,
@@ -316,6 +315,12 @@ class TestCStarS:
             exact = c_star_s_exact(n, m, k, F(x), A).embed()
             numeric = c_star_s(complex(n), m, k, float(x), A)
             assert abs(numeric - exact) <= 1e-10 * (1 + abs(exact))
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            c_star_s(1.5, -3, 3, 2.0, (1, 2))
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            c_star_s_exact(-3, -3, 3, 2, (1, 2))
 
     def test_exact_path_at_zero_argument(self):
         value = c_star_s_exact(2, 2, 2, F(0), (1,))

@@ -164,22 +164,22 @@ class TestAccelerated:
             (-1e-10, 56, "tolerance"),
             (math.inf, 56, "tolerance"),
             (math.nan, 56, "tolerance"),
-            (1e-10, 0, "terms_per_axis"),
-            (1e-10, 1, "terms_per_axis"),
         ],
     )
     def test_bad_tolerance_or_terms_rejected_before_any_work(self, monkeypatch, tol, terms, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         monkeypatch.setattr(zeta_mod, "_term_power", no_work)
         monkeypatch.setattr(zeta_mod, "_accelerate", no_work)
         with pytest.raises(ValueError, match=message):
-            zeta_accelerated(spec_of(0.5, 1, 3, 1, (1, 2)), tol=tol, terms_per_axis=terms)
+            zeta_accelerated(spec_of(0.5, 1, 3, 1, (1, 2)), tol=tol)
 
-    def test_failure_carries_diagnostics(self):
+    def test_failure_carries_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", 10)
         with pytest.raises(AccelerationError) as info:
-            zeta_accelerated(spec_of(0.25, 1, 6, 1, (1,)), tol=1e-10, terms_per_axis=10)
+            zeta_accelerated(spec_of(0.25, 1, 6, 1, (1,)), tol=1e-10)
         err = info.value
         assert err.achieved_tol > 1e-10
         assert err.best_estimate != 0
@@ -363,12 +363,13 @@ def is_exact_order(s):
     return s.imag == 0 and s.real <= 0 and s.real.is_integer()
 
 
-def transformed(spec, tol=1e-10, terms_per_axis=56):
-    """The nested transformation: ``zeta_accelerated`` where it takes it, and
-    the private transform at the integer orders that it evaluates exactly."""
+def transformed(spec, tol=1e-10):
+    """The nested transformation over ``zeta._ACCEL_TERMS`` terms per axis:
+    ``zeta_accelerated`` where it takes it, and the private transform at the
+    integer orders that it evaluates exactly."""
     if is_exact_order(spec.s):
-        return zeta_mod._transform(spec, tol, terms_per_axis)
-    return zeta_accelerated(spec, tol=tol, terms_per_axis=terms_per_axis)
+        return zeta_mod._transform(spec, tol)
+    return zeta_accelerated(spec, tol=tol)
 
 
 class TestFloatPowers:
@@ -393,10 +394,11 @@ class TestFloatPowers:
         yield spec_of(-200.5, 1, 2, 1, (1,)), 1e-10, 56
         yield spec_of(200.5, 1e-3, 3, 1, (1, 2)), 1e-10, 8
 
-    def test_matches_the_complex_power_bit_for_bit(self):
+    def test_matches_the_complex_power_bit_for_bit(self, monkeypatch):
         kinds, float_power_values = set(), set()
         for spec, tol, terms in self.seeded_cases():
-            got = outcome(transformed, spec, tol=tol, terms_per_axis=terms)
+            monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
+            got = outcome(transformed, spec, tol=tol)
             want = outcome(accelerated_by_term_power, spec, tol=tol, terms_per_axis=terms)
             assert got == want, (spec, tol, terms)
             kind = got.split(":")[0] if "Error" in got else "value"
@@ -426,8 +428,9 @@ class TestFloatPowers:
     def term_power_calls_per_path(cls, monkeypatch, spec):
         """_term_power calls of the accelerated continuation and of the direct box sum."""
         terms = 56 if len(spec.A) < 3 else 12
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         return (
-            cls.term_power_calls(monkeypatch, lambda: transformed(spec, terms_per_axis=terms)),
+            cls.term_power_calls(monkeypatch, lambda: transformed(spec)),
             cls.term_power_calls(monkeypatch, lambda: finite_sum_direct(spec, (terms,) * len(spec.A))),
         )
 
@@ -576,41 +579,44 @@ class TestExactIntegerOrders:
     def test_pinned_values(self, s, x, k, t, A, expected):
         assert zeta_accelerated(spec_of(s, x, k, t, A)) == expected
 
-    def test_tolerance_and_terms_leave_the_value_alone(self):
+    def test_tolerance_and_terms_leave_the_value_alone(self, monkeypatch):
         spec = spec_of(-5, 7 / 5, 3, 1, (1, 2))
         value = zeta_accelerated(spec)
-        assert zeta_accelerated(spec, tol=1e-2, terms_per_axis=2) == value
-        assert zeta_accelerated(spec, tol=1e-14, terms_per_axis=90) == value
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", 2)
+        assert zeta_accelerated(spec, tol=1e-2) == value
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", 90)
+        assert zeta_accelerated(spec, tol=1e-14) == value
 
-    @pytest.mark.parametrize("tol, terms", [(math.nan, 56), (0.0, 56), (1e-10, 1)])
+    @pytest.mark.parametrize("tol, terms", [(math.nan, 56), (0.0, 56)])
     def test_bad_tolerance_or_terms_rejected_first(self, monkeypatch, tol, terms):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
         monkeypatch.setattr(zeta_mod, "_term_power", no_work)
         with pytest.raises(ValueError):
-            zeta_accelerated(spec_of(-2, 1, 2, 1, (1,)), tol=tol, terms_per_axis=terms)
+            zeta_accelerated(spec_of(-2, 1, 2, 1, (1,)), tol=tol)
 
     @pytest.mark.parametrize(
         "s, x, A, terms",
-        [(-10**6, 1, (1,), 56), (-10**6, 0, (1,), 2), (-178, 0, (1,), 56), (-110, 1, (1, 3, 5, 7), 56)],
+        [(-10**6, 1, (1,), 56), (-10**6, 0, (1,), 56), (-178, 0, (1,), 56), (-110, 1, (1, 3, 5, 7), 56)],
     )
     def test_overflowing_orders_refused_before_any_work(self, monkeypatch, s, x, A, terms):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
+        monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         monkeypatch.setattr(be, "bernoulli_numbers", no_work)
         monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
         monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
         spec = spec_of(s, x, 2, 1, A)
         with pytest.raises(OverflowError, match="complex exponentiation"):
-            zeta_accelerated(spec, terms_per_axis=terms)
-        # the float path refuses the same orders with the same error; a box
-        # shorter than the default one is refused as the default box is
-        if len(A) == 1 and terms == 56:
+            zeta_accelerated(spec)
+        # the float path refuses the same orders with the same error
+        if len(A) == 1:
             with pytest.raises(OverflowError, match="complex exponentiation"):
-                zeta_mod._transform(spec, 1e-10, terms)
+                zeta_mod._transform(spec, 1e-10)
 
     @pytest.mark.parametrize(
         "m, x, A", [(1, 0, (9973, 9967)), (2, 1, (101, 103, 107)), (2, 10, (1, 3, 5, 7))]
@@ -632,7 +638,7 @@ class TestExactIntegerOrders:
         monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
         assert zeta_accelerated(spec_of(-6, 1, 2, 1, (1, 1))) == -4.25
 
-    def test_float_transform_agrees_where_it_converges(self):
+    def test_float_transform_agrees_where_it_converges(self, monkeypatch):
         # the check continuation_check made before the exact path: the float
         # transform at integer orders, with m + 1 passes to annihilate degree-m growth
         converging = [
@@ -651,7 +657,9 @@ class TestExactIntegerOrders:
             spec = spec_of(-m, c, k, t, A)
             exact = zeta_accelerated(spec)
             try:
-                value = zeta_mod._transform(spec, 1e-10, max(16, 3 * m + 8))
+                with monkeypatch.context() as patch:
+                    patch.setattr(zeta_mod, "_ACCEL_TERMS", max(16, 3 * m + 8))
+                    value = zeta_mod._transform(spec, 1e-10)
             except AccelerationError as exc:
                 assert (m, c, k, t, A) in stalling
                 assert exc.best_estimate is None or cmath.isfinite(exc.best_estimate)
@@ -685,6 +693,20 @@ class TestAsymptotic:
     def test_order_range_guard(self):
         with pytest.raises(ValueError):
             zeta_asymptotic(spec_of(1.5, 10, 2, 1, (1,)))  # sigma = -1.5
+
+    @pytest.mark.parametrize("s, x, A", [(-160, 1000, (1, 2)), (-320, 1000, (1, 2)), (-400, 50, (1,))])
+    def test_overflowing_order_refused_before_the_star_build(self, monkeypatch, s, x, A):
+        def no_build(*args):
+            raise AssertionError("star table built")
+
+        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            zeta_asymptotic(spec_of(s, x, 3, 1, A))
+
+    def test_truncation_below_r_takes_no_power(self):
+        # q < r reads only the zero stars C*_0..C*_q, so the overflowing
+        # power is never taken and the value is 0, as it always was
+        assert zeta_asymptotic(spec_of(-160, 1000, 3, 1, (1, 2), q=1)) == 0
 
     def test_approximates_continuation(self):
         spec = spec_of(0.5, 40.0, 2, 1, (1,), q=2)
