@@ -218,17 +218,13 @@ def bernoulli_poly(n: int) -> PolynomialX:
 
 
 def _bernoulli_value(n: int, y: Fraction) -> Fraction:
-    """B_n(y) at a rational y, by Horner's rule in integers (:func:`_bernoulli_ratio`)."""
-    return Fraction(*_bernoulli_ratio(n, y.numerator, y.denominator))
-
-
-def _bernoulli_ratio(n: int, a: int, b: int) -> tuple[int, int]:
-    """(N, D) with B_n(a/b) = N/D for integers a and b > 0; the ratio is not reduced.
+    """B_n(y) at a rational y = a/b, by Horner's rule in integers.
 
     With L and c_i the integer row of order n (:func:`_bernoulli_row`),
-    D = L b^n and N is the integer sum_i c_i a^i b^{n-i}, accumulated by
-    Horner's rule from i = n down.
+    B_n(a/b) = N / (L b^n), where N is the integer sum_i c_i a^i b^{n-i},
+    accumulated by Horner's rule from i = n down.
     """
+    a, b = y.numerator, y.denominator
     common, row = _bernoulli_row(n)
     acc, scale = 0, 1  # scale = b^{n-i}
     for i in range(n, -1, -1):
@@ -236,7 +232,7 @@ def _bernoulli_ratio(n: int, a: int, b: int) -> tuple[int, int]:
         if row[i]:  # B_j = 0 for odd j >= 3
             acc += row[i] * scale
         scale *= b
-    return acc, common * (scale // b)
+    return Fraction(acc, common * (scale // b))
 
 
 @functools.lru_cache(maxsize=128)

@@ -26,8 +26,9 @@ zeta^{t a} (default 1); the constant sees only t a, the weight scaling
 a^{m-1} the raw weight.
 
 The exact table C*_{0..m,k}(A_r) behind ``c_star_multi``, ``c_star_s``,
-``c_star_s_exact`` and the zeta main terms is built once per key and kept
-for the latest 128 keys (``_periodic_stars``).  The key is m, k and the
+``c_star_s_exact``, the zeta main terms and the exact integer orders of
+``zeta_accelerated`` is built once per key and kept for the latest 128
+keys (``_periodic_stars``).  The key is m, k and the
 sorted pairs (a, t a mod k), so permuted weights and twists that agree on
 every t a mod k share one entry.  ``_periodic_stars`` is the one gate of
 every table read: it refuses m < 0 and an inadmissible twist before the

@@ -603,6 +603,7 @@ def suite_zeta(seed: int) -> SuiteReport:
             (3, Fraction(2), TwistSpec(3, 1), (1,)),
             (4, Fraction(1), TwistSpec(4, 1), (1,)),
             (2, Fraction(3, 2), TwistSpec(3, 1), (1, 2)),
+            (2, Fraction(1), TwistSpec(2, 1), (101, 103, 107)),  # a long period
         ]
         for m, c, twist, A in cases:
             report = zt.continuation_check(m, c, twist, A)

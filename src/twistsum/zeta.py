@@ -8,11 +8,10 @@ For weights A_r, twist root zeta_k^t and shift x >= 0,
 of the polynomial formulations is sigma = -s.  ``zeta_direct`` evaluates the
 blocked partial sum in the convergent regime; ``zeta_accelerated`` evaluates
 the analytic continuation.  At an integer order s = -m <= 0 the continuation
-is exact: the lattice-point count c_d = #{M : A.M = d} is a quasi-polynomial
-in d, so Z(-m, x) is a finite sum of Hurwitz values -B_{n+1}(v)/(n+1) in
-Q(zeta_k), embedded once.  That sum grows with the period lcm(k, A); past a
-fixed limit the value is the generalized Euler polynomial E_m(x, j; A_r),
-built and evaluated at x.  Every other order takes an iterated,
+is exact: it is the asymptotic main term below at q = m + r, a polynomial of
+degree m in x, evaluated in Q(zeta_k) from the memoized star table and
+embedded once, so its work depends on m, k and r and never on the period
+lcm(k, A).  Every other order takes an iterated,
 twist-weighted Euler transformation applied axis by axis over a fixed number
 of terms per axis (``_ACCEL_TERMS``), which returns a value only within its
 tolerance and otherwise raises with its best estimate.
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, _bernoulli_ratio, gen_euler_poly
+from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import CyclotomicNumber, _root_sum, as_fraction, roots_of_unity
 from .twisted_c import _c_star_s_from_table, _periodic_stars, pochhammer
 
@@ -192,7 +191,6 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
 # ---------------------------------------------------------------------------
 
 _ACCEL_TERMS = 56  # the terms per axis of the nested transformation
-_COUNT_LIMIT = 64  # the largest lcm(k, A) * r summed from lattice-point counts
 
 
 def _require_tol(tol: float) -> None:
@@ -248,14 +246,11 @@ def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
     """The analytic continuation Z(s, x): exact at integer orders s = -m <= 0,
     and otherwise the iterated Euler transformation.
 
-    At s = -m the value is computed exactly in Q(zeta_k) and embedded once;
-    ``tol`` does not affect it.  While the period
-    P = lcm(k, A) keeps P * r within ``_COUNT_LIMIT`` it is summed from the
-    lattice-point counts (:func:`_integer_order_value`), whose work grows with
-    P * r; past it, the generalized Euler polynomial E_m(x, j; A_r) is built
-    and evaluated at x, whose work depends on m, k and r only.  An order whose
-    terms would overflow on the float path's box of ``_ACCEL_TERMS`` terms per
-    axis is refused first, with the complex power's OverflowError.
+    At s = -m the value is computed exactly in Q(zeta_k) and embedded once
+    (:func:`_exact_main_term`); ``tol`` does not affect it, and its work
+    depends on m, k and r only.  An order whose terms would overflow on the
+    float path's box of ``_ACCEL_TERMS`` terms per axis is refused first,
+    with the complex power's OverflowError.
 
     Every other order takes the nested transformation (:func:`_transform`).
     Re(s) may be nonpositive; polynomially growing blocked terms are the
@@ -276,67 +271,44 @@ def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
         # the float path's last term, at the largest base x + sum_l a_l (T - 1)
         # of its box, raises its OverflowError here
         _term_power(spec.x + sum(a * (_ACCEL_TERMS - 1) for a in spec.A.entries), -spec.s)
-        if math.lcm(spec.twist.k, *spec.A.entries) * len(spec.A) > _COUNT_LIMIT:
-            m = -int(spec.s.real)
-            return gen_euler_poly(m, spec.twist, spec.A).eval_exact(Fraction(spec.x)).embed()
-        return _integer_order_value(spec).embed()
+        return _exact_main_term(spec).embed()
     return _transform(spec, tol)
 
 
-def _integer_order_value(spec: ZetaSpec) -> CyclotomicNumber:
-    """Z(-m, x) exactly in Q(zeta_k), from the denumerant and Bernoulli values.
+def _exact_main_term(spec: ZetaSpec) -> CyclotomicNumber:
+    """Z(-m, x) exactly in Q(zeta_k): the main term of :func:`zeta_asymptotic` at q = n = m + r.
 
-    The count c_d = #{M >= 0 : A.M = d} is a quasi-polynomial in d of degree
-    r - 1 whose period divides lcm(A) (Sylvester's denumerant), and the twist
-    zeta^{td} has period k, so with P = lcm(k, A) each residue j < P has
-    c_{j+Pn} = sum_l b_{j,l} (n + v_j)^l, v_j = (x + j)/P.  The b_{j,l} are
-    fitted to the counts at n = 0..r-1 (:meth:`WeightVector.dot_counts`),
-    and with zeta(-n, v) = -B_{n+1}(v)/(n+1),
+    At sigma = m that term is exact and, with y = x - A.1, equals
 
-        Z(-m, x) = 2^r P^m sum_j zeta^{tj} sum_l b_{j,l} (-B_{m+l+1}(v_j)/(m+l+1)),
+        (-2)^r zeta^{-t A.1} m! / (k^r n!) sum_{j<=n} (-k)^j C(n, j) C*_{j,k}(A_r) y^{n-j},
 
-    with the factor 2^r P^m taken into each term and the terms summed through
-    one reduction modulo Phi_k (``exact._root_sum``).  The float shift enters
-    exactly, as its integer ratio p/q, so v_j = (p + jq)/(qP).
+    a polynomial of degree m in x, since C*_{j,k}(A_r) = 0 for j < r.  So it
+    holds at every shift, also below A.1.  With y = p/q, the coordinates of
+    each star are scaled by the integer (-k)^j C(n, j) p^{n-j} q^j and
+    rotated by zeta^{-t A.1}, their raw sum is reduced once modulo Phi_k
+    (``exact._root_sum``), and the result is scaled once by the rational
+    (-2)^r m! / (k^r n! q^n).  The table C*_{0..n,k}(A_r) is read from the
+    bounded memo of ``twisted_c``.
     """
     m = -int(spec.s.real)
     k, t = spec.twist.k, spec.twist.t
-    weights = spec.A.entries
-    r = len(weights)
-    period = math.lcm(k, *weights)
-    counts = spec.A.dot_counts([period * r // a for a in weights])
+    r = len(spec.A)
+    n = m + r
+    weight_total = sum(spec.A.entries)
     p, q = spec.x.as_integer_ratio()
-    scale = 2**r * period**m
-    terms = []
-    for j in range(period):
-        a, b = p + j * q, q * period  # v_j = a/b
-        for l, c in enumerate(_shifted_fit(counts[j : period * r : period], a, b)):
-            if c:
-                n = m + l + 1
-                num, den = _bernoulli_ratio(n, a, b)
-                terms.append((t * j, Fraction(-scale * c.numerator * num, c.denominator * den * n)))
-    return _root_sum(k, terms)
-
-
-def _shifted_fit(values: Sequence[int], a: int, b: int) -> list:
-    """b_0..b_{n-1} with values[i] = sum_l b_l (i + v)^l for i < n = len(values), v = a/b.
-
-    Newton's forward form p(i) = sum_d Delta^d p(0) C(i, d), with each
-    C(i, d) = prod_{q<d} (u - v - q)/d! expanded in powers of u = i + v.
-    """
-    n = len(values)
-    coeffs = [0] * n
-    basis = [1]  # C(i, d) in powers of u
-    diffs = list(values)
-    for d in range(n):
-        if diffs[0]:
-            for l, c in enumerate(basis):
-                coeffs[l] += diffs[0] * c
-        if d + 1 < n:
-            diffs = [y - z for z, y in zip(diffs, diffs[1:])]
-            root = Fraction(a + d * b, b)
-            basis = [(hi - root * lo) / (d + 1) for hi, lo in zip([0] + basis, basis + [0])]
-    return coeffs
+    p -= weight_total * q
+    stars = _periodic_stars(n, k, spec.A, t)
+    rotation = -t * weight_total
+    total = _root_sum(
+        k,
+        (
+            (rotation + i, c * ((-k) ** j * math.comb(n, j) * p ** (n - j) * q**j))
+            for j in range(r, n + 1)
+            for i, c in enumerate(stars[j].coeffs)
+            if c
+        ),
+    )
+    return total * Fraction((-2) ** r * math.factorial(m), k**r * math.factorial(n) * q**n)
 
 
 def _transform(spec: ZetaSpec, tol: float) -> complex:
@@ -400,7 +372,10 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
     one spec reads the same memoized table (``twisted_c._periodic_stars``).
     When q >= r the sum's first nonzero term, at C*_r, takes the power
     arg^sigma; it is taken before the table is read, so an order at which it
-    overflows raises that OverflowError before any build.
+    overflows raises that OverflowError before any build.  A depth q > 171
+    is refused next, before the build too: the term at C*_j divides by j!,
+    which leaves the float range at j = 171, and a table this deep holds a
+    nonzero star at j = 171 or 172 on every key checked (k <= 12, r <= 3).
     """
     sigma = spec.sigma()
     if sigma.real <= -1:
@@ -419,6 +394,8 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
     q = spec.effective_q()
     if q >= r:
         complex(arg) ** (sigma + r - r)  # the first term's power, which may overflow
+    if q > 171:  # 171! > sys.float_info.max
+        raise OverflowError("int too large to convert to float")
     stars = _periodic_stars(q, k, spec.A, t)
     return prefactor * _c_star_s_from_table(sigma + r, k, arg, stars)
 
@@ -513,11 +490,10 @@ class ContinuationReport:
 def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> ContinuationReport:
     """Compare Z(-m, c) against E_m(c, j; A_r) exactly evaluated.
 
-    Both sides are exact.  They are independent while lcm(k, A) * r stays
-    within ``_COUNT_LIMIT``: :func:`zeta_accelerated` then sums Bernoulli
-    values over the lattice-point counts, and E_m(c, j; A_r) is the
-    generalized Euler build evaluated by Horner's rule.  Past the limit both
-    sides are the Euler build.  The continuation convention validated by the
+    Both sides are exact, and they are independent at every order and
+    period: :func:`zeta_accelerated` reads the asymptotic main term from the
+    C* star table, and E_m(c, j; A_r) is the generalized Euler build
+    evaluated by Horner's rule.  The continuation convention validated by the
     brute-force power-sum oracle carries no extra exponential factor; the
     alternative normalization E_m(c)/e^{jc} is measured and reported
     alongside it.  Raises ValueError before any work

@@ -128,10 +128,10 @@ def bernoulli_value_by_fraction_horner(n, y):
     return acc
 
 
-def bernoulli_ratio_per_call(n, a, b):
-    """(N, D) for B_n(a/b) with the common denominator and the binomials made
-    afresh on every call, the reference that the cached integer rows of
-    ``_bernoulli_ratio`` must match literally, unreduced pair and all."""
+def bernoulli_value_per_call(n, a, b):
+    """B_n(a/b) from the integer sum over the common denominator and the
+    binomials made afresh on every call, reduced: the reference that the
+    cached integer rows of ``_bernoulli_value`` must match literally."""
     numbers = bernoulli_numbers(n)
     common = math.lcm(*(c.denominator for c in numbers))
     acc, scale = 0, 1
@@ -141,7 +141,7 @@ def bernoulli_ratio_per_call(n, a, b):
         if c:
             acc += math.comb(n, i) * c.numerator * (common // c.denominator) * scale
         scale *= b
-    return acc, common * (scale // b)
+    return F(acc, common * (scale // b))
 
 
 def literal(values):
@@ -204,8 +204,8 @@ class TestBernoulli:
             for y in points:
                 got = bernoulli_euler._bernoulli_value(n, y)
                 assert type(got) is F and got == bernoulli_value_by_fraction_horner(n, y), (n, y)
-                num, den = bernoulli_euler._bernoulli_ratio(n, 2 * y.numerator, 2 * y.denominator)
-                assert F(num, den) == got, (n, y)  # an unreduced ratio a/b gives the same value
+                # the integer Horner over an unreduced ratio a/b gives the same value
+                assert bernoulli_value_per_call(n, 2 * y.numerator, 2 * y.denominator) == got, (n, y)
 
     def test_polynomials(self):
         assert bernoulli_poly(0) == PolynomialX.from_coeffs([1])
@@ -223,13 +223,14 @@ class TestBernoulliRows:
         grid = [(0, 1), (0, 7), (1, 1), (-1, 1), (3, 2), (-3, 2), (5, 12), (-11, 12), (-4, 6), (25, 9)]
         for n in range(61):
             for a, b in grid:
-                assert bernoulli_euler._bernoulli_ratio(n, a, b) == bernoulli_ratio_per_call(n, a, b), (n, a, b)
+                got = bernoulli_euler._bernoulli_value(n, F(a, b))
+                assert type(got) is F and got == bernoulli_value_per_call(n, a, b), (n, a, b)
 
     def test_rows_survive_eviction(self):
         orders = range(200)  # more orders than the cache keeps
-        first = [bernoulli_euler._bernoulli_ratio(n, -5, 3) for n in orders]
-        assert [bernoulli_euler._bernoulli_ratio(n, -5, 3) for n in orders] == first
-        assert first[150] == bernoulli_ratio_per_call(150, -5, 3)
+        first = [bernoulli_euler._bernoulli_value(n, F(-5, 3)) for n in orders]
+        assert [bernoulli_euler._bernoulli_value(n, F(-5, 3)) for n in orders] == first
+        assert first[150] == bernoulli_value_per_call(150, -5, 3)
 
 
 class TestClassicalEuler:

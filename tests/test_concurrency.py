@@ -51,10 +51,10 @@ def test_concurrent_generalized_euler_values():
 
 def test_bernoulli_rows_of_mixed_orders_agree():
     orders = (3, 17, 40, 64)
-    expected = {n: be._bernoulli_ratio(n, -7, 12) for n in orders}
+    expected = {n: be._bernoulli_value(n, Fraction(-7, 12)) for n in orders}
     be._bernoulli_row.cache_clear()
     # each thread asks for the orders starting from a different one
-    values = run_threads(lambda i: {n: be._bernoulli_ratio(n, -7, 12) for n in orders[i % 4:] + orders[: i % 4]})
+    values = run_threads(lambda i: {n: be._bernoulli_value(n, Fraction(-7, 12)) for n in orders[i % 4:] + orders[: i % 4]})
     assert all(v == expected for v in values)
 
 

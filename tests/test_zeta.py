@@ -522,27 +522,39 @@ class TestContinuationBridge:
 
 
 def exact_grid():
-    """(m, x, k, t, A): every admissible twist at five moduli, orders up to 8 and three shifts."""
+    """(m, k, t, A): every admissible twist at five moduli and orders up to 8."""
     for A in [(1,), (1, 2), (1, 1), (3, 5), (1, 2, 3), (2, 3, 1, 1)]:
         for k in (2, 3, 4, 5, 6):
             for t in range(1, k):
                 if all(t * a % k for a in A):
-                    for m, x in itertools.product((0, 1, 2, 5, 8), (0, 1, 7 / 5)):
-                        yield m, x, k, t, A
-    for m, x in itertools.product((0, 2, 5), (0, 7 / 5, 10)):
-        yield m, x, 2, 1, (1, 3, 5, 7)
+                    for m in (0, 1, 2, 5, 8):
+                        yield m, k, t, A
+    for m in (0, 2, 5):
+        yield m, 2, 1, (1, 3, 5, 7)
+
+
+def exact_shifts(m, A):
+    """m + 1 distinct rational shifts, 0 and a nonzero one below A.1 among them,
+    enough to fix a polynomial of degree m in x."""
+    W = sum(A)
+    candidates = [0, W - 1 / 4, 7 / 5, 10, W + 1 / 3] + [W + 2 + i for i in range(m)]
+    return list(dict.fromkeys(candidates))[: m + 1]
 
 
 class TestExactIntegerOrders:
     def test_literally_equal_to_the_euler_polynomial(self):
         count = 0
-        for m, x, k, t, A in exact_grid():
-            spec = spec_of(-m, x, k, t, A)
-            want = gen_euler_poly(m, TwistSpec(k, t), A).eval_exact(F(spec.x))
-            assert zeta_mod._integer_order_value(spec) == want, (m, x, k, t, A)
-            assert zeta_accelerated(spec) == want.embed()
-            count += 1
-        assert count > 700
+        for m, k, t, A in exact_grid():
+            poly = gen_euler_poly(m, TwistSpec(k, t), A)
+            shifts = exact_shifts(m, A)
+            assert len(shifts) == m + 1
+            for x in shifts:
+                spec = spec_of(-m, x, k, t, A)
+                want = poly.eval_exact(F(spec.x))
+                assert zeta_mod._exact_main_term(spec) == want, (m, x, k, t, A)
+                assert zeta_accelerated(spec) == want.embed()
+                count += 1
+        assert count > 1300
 
     def test_known_wrong_answers_are_exact(self):
         assert repr(zeta_accelerated(spec_of(-8, 1, 2, 1, (1,)))) == "0j"
@@ -593,7 +605,7 @@ class TestExactIntegerOrders:
             raise AssertionError("work started")
 
         monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
-        monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
+        monkeypatch.setattr(zeta_mod, "_exact_main_term", no_work)
         monkeypatch.setattr(zeta_mod, "_term_power", no_work)
         with pytest.raises(ValueError):
             zeta_accelerated(spec_of(-2, 1, 2, 1, (1,)), tol=tol)
@@ -608,8 +620,7 @@ class TestExactIntegerOrders:
 
         monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         monkeypatch.setattr(be, "bernoulli_numbers", no_work)
-        monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
-        monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
+        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_work)
         spec = spec_of(s, x, 2, 1, A)
         with pytest.raises(OverflowError, match="complex exponentiation"):
             zeta_accelerated(spec)
@@ -619,24 +630,22 @@ class TestExactIntegerOrders:
                 zeta_mod._transform(spec, 1e-10)
 
     @pytest.mark.parametrize(
-        "m, x, A", [(1, 0, (9973, 9967)), (2, 1, (101, 103, 107)), (2, 10, (1, 3, 5, 7))]
+        "m, x, A", [(1, 0, (9973, 9967)), (2, 1, (101, 103, 107)), (2, 10, (1, 3, 5, 7)), (6, 1, (1, 1))]
     )
-    def test_long_period_takes_the_euler_build(self, monkeypatch, m, x, A):
-        # lcm(k, A) * r past the limit: the counts over one period are never taken
+    def test_one_star_table_at_every_period(self, monkeypatch, m, x, A):
+        # neither the Euler build nor the lattice-point counts, and one table per key
         def no_work(*args, **kwargs):
-            raise AssertionError("period-sized work started")
+            raise AssertionError("Euler build or count sum started")
 
-        want = gen_euler_poly(m, TwistSpec(2, 1), A).eval_exact(F(x)).embed()
-        monkeypatch.setattr(zeta_mod, "_integer_order_value", no_work)
-        monkeypatch.setattr(be.WeightVector, "dot_counts", no_work)
-        assert zeta_accelerated(spec_of(-m, x, 2, 1, A)) == want
-
-    def test_short_period_sums_the_counts(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("Euler build started")
-
+        twist = TwistSpec(2, 1)
+        want = [gen_euler_poly(m, twist, A).eval_exact(F(y)).embed() for y in (x, x + 1 / 2)]
         monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
-        assert zeta_accelerated(spec_of(-6, 1, 2, 1, (1, 1))) == -4.25
+        monkeypatch.setattr(be.WeightVector, "dot_counts", no_work)
+        memo = twisted_c._periodic_star_memo
+        memo.cache_clear()
+        for _ in range(2):
+            assert [zeta_accelerated(spec_of(-m, y, 2, 1, A)) for y in (x, x + 1 / 2)] == want
+        assert memo.cache_info().misses == 1
 
     def test_float_transform_agrees_where_it_converges(self, monkeypatch):
         # the check continuation_check made before the exact path: the float
@@ -702,6 +711,21 @@ class TestAsymptotic:
         monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
         with pytest.raises(OverflowError, match="complex exponentiation"):
             zeta_asymptotic(spec_of(s, x, 3, 1, A))
+
+    @pytest.mark.parametrize("q", [172, 300, 1100])
+    def test_deep_truncation_refused_before_the_star_build(self, monkeypatch, q):
+        # the term at C*_j divides by j!, past the float range from j = 171 on
+        def no_build(*args):
+            raise AssertionError("star table built")
+
+        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            zeta_asymptotic(spec_of(-0.5, 1.5, 3, 1, (1,), q=q))
+
+    def test_depth_171_still_sums_its_table(self):
+        # C*_171 = 0 here, so no term divides by 171! and the value stands
+        value = zeta_asymptotic(spec_of(-0.5, 1.5, 2, 1, (1,), q=171))
+        assert cmath.isfinite(value)
 
     def test_truncation_below_r_takes_no_power(self):
         # q < r reads only the zero stars C*_0..C*_q, so the overflowing
