@@ -22,7 +22,10 @@ the inclusion-exclusion that the closed form of :mod:`twistsum.powersum`
 walks -- and it is inverted once.  2^r times each Taylor value of that EGF
 is an integer combination of the k-th roots of unity, so it is summed in
 integers, one accumulator per power of zeta, reduced once modulo Phi_k and
-scaled once by 2^{-r}.  The x-dependence of every generating function above
+scaled once by 2^{-r}.  The build sees the twist and the weights only
+through the pairs (a, t a mod k) of :func:`_twist_pairs`, and the star
+table of :mod:`twistsum.twisted_c` is the same build at the conjugate
+twist.  The x-dependence of every generating function above
 is the factor e^{xz} alone, so each polynomial is the binomial assembly of
 its numbers,
 
@@ -67,6 +70,20 @@ def _check_twist(k: int, t: int, a: int) -> None:
         raise SingularTwistError(
             f"singular twist: k={k} divides t*a = {t}*{a}, so weight {a} is inadmissible"
         )
+
+
+def _twist_pairs(k: int, t: int, A) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs (a, t a mod k) of the weights, each checked by :func:`_check_twist`.
+
+    A twisted product prod_l (1 - zeta^{t a_l} e^{a_l z}) depends on (t, A)
+    only through these pairs, and not on their order, so they are the key of
+    every build of one: the generalized Euler numbers here and the star table
+    of :mod:`twistsum.twisted_c`.
+    """
+    A = _as_weights(A)
+    for a in A:
+        _check_twist(k, t, a)
+    return tuple(sorted((a, t * a % k) for a in A))
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,8 +184,7 @@ class WeightVector:
         return all(twist.admits(a) for a in self.entries)
 
     def require_admissible(self, twist: TwistSpec) -> None:
-        for a in self.entries:
-            _check_twist(twist.k, twist.t, a)
+        _twist_pairs(twist.k, twist.t, self)
 
 
 def _as_weights(A) -> WeightVector:
@@ -282,27 +298,29 @@ def classical_euler_numbers(n_max: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 # Shared by the two public builders so that a polynomial build does not run
-# (and is not timed or counted) as a nested call of gen_euler_numbers.
-def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
-    """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{t a_l} e^{a_l z}).
+# (and is not timed or counted) as a nested call of gen_euler_numbers; the
+# star table of twisted_c is built on it too.
+def _gen_euler_values(m_max: int, k: int, pairs) -> list[CyclotomicNumber]:
+    """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{u_l} e^{a_l z}), pairs (a_l, u_l).
 
-    The halved product 2^{-r} prod_l (1 - zeta^{t a_l} e^{a_l z}) is expanded
+    ``pairs`` are the admissible pairs (a, t a mod k) of :func:`_twist_pairs`.
+    The halved product 2^{-r} prod_l (1 - zeta^{u_l} e^{a_l z}) is expanded
     over the corner subsets S of the weights, the inclusion-exclusion that the
     closed form walks (``corners`` of the zero box): it equals
-    2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} e^{d_S z} with d_S = sum_{l in S} a_l,
-    so its Taylor values are D_n = 2^{-r} sum_S (-1)^{|S|} zeta^{t d_S} d_S^n.
+    2^{-r} sum_S (-1)^{|S|} zeta^{u_S} e^{d_S z} with d_S = sum_{l in S} a_l
+    and u_S = sum_{l in S} u_l mod k, so its Taylor values are
+    D_n = 2^{-r} sum_S (-1)^{|S|} zeta^{u_S} d_S^n.
     For each n the integers (-1)^{|S|} d_S^n are added into the accumulator
-    of the power zeta^{t d_S mod k}; the k accumulators are reduced once
+    of the power zeta^{u_S}; the k accumulators are reduced once
     modulo Phi_k (``exact._root_sum``) and each coordinate is scaled by
     2^{-r}, so no root of unity is built and no field product is taken.
     The numbers are the EGF inverse of the D_n, whose only field inverse is 1/D_0.
     """
-    A = _as_weights(A)
-    A.require_admissible(twist)
     if m_max < 0:
         raise ValueError("truncation order must be nonnegative")
-    k, scale = twist.k, Fraction(1, 2 ** len(A))
-    corners = [(twist.t * d % k, d, sign) for _, d, sign in A.corners((0,) * len(A))]
+    scale = Fraction(1, 2 ** len(pairs))
+    zero_box = WeightVector(tuple(a for a, _ in pairs)).corners((0,) * len(pairs))
+    corners = [(sum(pairs[i][1] for i in S) % k, d, sign) for S, d, sign in zero_box]
     values = []
     for n in range(m_max + 1):
         residues = [0] * k
@@ -315,9 +333,10 @@ def _gen_euler_values(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]
 
 def gen_euler_numbers(m_max: int, twist: TwistSpec, A) -> list[CyclotomicNumber]:
     """E_0(j,A_r)..E_m_max(j,A_r), the EGF inverse of 2^{-r} prod_l (1 - zeta^{t a_l} e^{a_l z})."""
-    return _gen_euler_values(m_max, twist, A)
+    return _gen_euler_values(m_max, twist.k, _twist_pairs(twist.k, twist.t, A))
 
 
 def gen_euler_poly(m: int, twist: TwistSpec, A) -> PolynomialX:
     """E_m(x, j; A_r), binomially assembled from E_0(j,A_r)..E_m(j,A_r)."""
-    return _binomial_assembly(_gen_euler_values(m, twist, A), twist.k)
+    values = _gen_euler_values(m, twist.k, _twist_pairs(twist.k, twist.t, A))
+    return _binomial_assembly(values, twist.k)

@@ -11,7 +11,9 @@ polynomial is assembled binomially from its numbers, its values at x = 0 (see
 
 Every number table is the reciprocal of an exponential generating function
 (EGF) sum_n v_n z^n/n!, and is computed from the values v_n alone by
-:func:`binomial_inverse`, the inverse of :func:`binomial_convolve`.  The
+:func:`binomial_inverse`, the recurrence that makes the product of the two
+EGFs equal to 1.  No runtime table multiplies two EGFs; the binomial
+convolution that does is :func:`twistsum.oracles.binomial_convolve`.  The
 truncated formal power series of :class:`TruncatedSeries` are the type of
 the checks' independent references, not of any computed table.
 
@@ -20,15 +22,15 @@ vectors, reduced modulo Phi_k through a cached table of the integer rows
 x^j mod Phi_k (Phi_k is monic with integer coefficients): each coefficient of
 degree j >= phi(k) is added into the low coordinates along its row.  A sum
 of products is reduced once: every product is added into one raw coordinate
-list first (:func:`_sum_products`, which the binomial convolution and its
-inverse use).  A root of unity zeta^e acts by rotating coordinates, moving
-the coordinate at zeta^i to zeta^{(e+i) mod k}, so a sum of numbers times
-roots is one raw sum over the k powers of zeta and one reduction, with no
-field product (:func:`_root_sum`).  A single product is the same kernel on
-one term, and a single root is the same rotation on one rational.  A
-polynomial is evaluated at a rational p/q by Horner's rule on integer
-vectors, over the common denominator of all its coordinates and the powers
-of q, with one division per coordinate at the end
+list first (:func:`_sum_products`, which the EGF inverse uses).  A root of
+unity zeta^e acts by rotating coordinates, moving the coordinate at zeta^i
+to zeta^{(e+i) mod k}, so a sum of numbers times roots is one raw sum over
+the k powers of zeta and one reduction, with no field product
+(:func:`_root_sum`).  A single product is the same kernel on one term, and
+a single root is the same rotation on one rational.  A polynomial is
+evaluated at a rational p/q by Horner's rule on integer vectors, over the
+common denominator of all its coordinates and the powers of q, with one
+division per coordinate at the end
 (:meth:`PolynomialX.eval_exact`): evaluation takes no field product and
 builds no number until its value.
 
@@ -659,27 +661,14 @@ def _sum_products(terms: Sequence[tuple]):
     return CyclotomicNumber(k, _reduce_mod_cyclotomic(raw, k))
 
 
-def binomial_convolve(left: Sequence, right: Sequence) -> list:
-    """out[m] = sum_i C(m, i) left[i] right[m-i], for m below the shorter length.
-
-    This is the product of two exponential generating functions (EGFs)
-    sum_m v_m z^m/m!, read back in the same convention, on Fractions or on
-    numbers of one order.  Each out[m] is one sum of products, reduced once
-    modulo Phi_k (:func:`_sum_products`).
-    """
-    return [
-        _sum_products([(math.comb(m, i), left[i], right[m - i]) for i in range(m + 1)])
-        for m in range(min(len(left), len(right)))
-    ]
-
-
 def binomial_inverse(values: Sequence) -> list:
     """The values of the reciprocal of sum_n values[n] z^n/n!, through the same order.
 
     out[n] = -values[0]^{-1} sum_{i<n} C(n, i) values[n-i] out[i], so that
-    ``binomial_convolve(values, out)`` is 1, 0, 0, ...  The values are
-    Fractions or numbers of one order; values[0] must be nonzero, and its
-    inverse is the only field inverse taken.  Each sum over i is reduced once
+    sum_{i<=n} C(n, i) values[n-i] out[i] is 1 at n = 0 and 0 beyond: the
+    product of the two EGFs is 1.  The values are Fractions or numbers of one
+    order; values[0] must be nonzero, and its inverse is the only field
+    inverse taken.  Each sum over i is reduced once
     modulo Phi_k (:func:`_sum_products`) and then takes one field product by
     -values[0]^{-1}, so n outputs cost about 2n reductions.
     """

@@ -5,7 +5,12 @@ returns whether it holds (exactly, or to a stated tolerance for floats):
 the generalized Euler numbers by multinomial convolution of single weights,
 the partition identity of the generalized Euler polynomials, the starred
 values against products of truncated power series, the closed form on the
-empty box, and the derivative evaluators of a smooth function.
+empty box, and the derivative evaluators of a smooth function.  The star
+table by the multinomial convolution of per-weight tables of Bernoulli-value
+sums (:func:`_star_table`) is the independent reference of the runtime's
+table, which is read off the generalized Euler numbers.  The binomial
+convolution itself (:func:`binomial_convolve`) lives here: no runtime table
+multiplies two exponential generating functions.
 
 Only :mod:`twistsum.verify` and the tests import this module; no runtime
 module does, so a refactor of the code under check cannot merge an oracle
@@ -31,12 +36,26 @@ from .exact import (
     CyclotomicNumber,
     RationalLike,
     TruncatedSeries,
+    _sum_products,
     as_fraction,
-    binomial_convolve,
     cyc_root,
 )
 from .powersum import SumSpec, closed_sum
 from .twisted_c import _c_number, _periodic_stars
+
+
+def binomial_convolve(left: Sequence, right: Sequence) -> list:
+    """out[m] = sum_i C(m, i) left[i] right[m-i], for m below the shorter length.
+
+    This is the product of two exponential generating functions (EGFs)
+    sum_m v_m z^m/m!, read back in the same convention, on Fractions or on
+    numbers of one order.  Each out[m] is one sum of products, reduced once
+    modulo Phi_k (``exact._sum_products``).
+    """
+    return [
+        _sum_products([(math.comb(m, i), left[i], right[m - i]) for i in range(m + 1)])
+        for m in range(min(len(left), len(right)))
+    ]
 
 
 def _c_star_nonperiodic(m: int, k: int, a: int, t: int) -> CyclotomicNumber:
@@ -109,8 +128,9 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
     """Cross-check the starred values against their generating functions.
 
     Two identities are verified through order ``m_max``, both exactly.  The
-    multinomial convolution of the periodic stars must match the product of
-    the per-weight series z/(zeta^{-a} e^{az/k} - 1); the convolution of the
+    periodic star table C*_{0..m_max,k}(A_r) (``twisted_c._periodic_stars``)
+    must match the product of the per-weight series
+    z/(zeta^{-a} e^{az/k} - 1); the multinomial convolution of the
     non-periodic stars must match the closed-form product
 
         prod_p [z/(e^{a_p z}-1)] * [(e^{-a_p z}-1)/(zeta^{a_p} e^{-a_p z/k}-1)].

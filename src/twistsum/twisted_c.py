@@ -18,21 +18,27 @@ polynomial in the package is: B_m(x + y) = sum_i C(m,i) B_{m-i}(y) x^i gives
 C_{n,k}(x;a) = sum_i C(n,i) C_{n-i,k}(0;a) x^i, and each number is a sum of
 Bernoulli values at the rationals -l/k.  No polynomial arithmetic is done.
 
-``em_constant`` returns the periodic one; the starred values C*_{m,k}(a),
-their multinomial extension C*_{m,k}(A_r) and the complex-order combination
-C*_{s,m,k}(x;A_r) are built on it, matching what the zeta asymptotics need.
+``em_constant`` returns the periodic one, and the single-weight star
+C*_{m,k}(a) = C_{m,k}(t a) a^{m-1} of ``c_star`` is built on it.
 ``c_star`` and ``c_star_s`` take the twist numerator t of the root
 zeta^{t a} (default 1); the constant sees only t a, the weight scaling
 a^{m-1} the raw weight.
 
-The exact table C*_{0..m,k}(A_r) behind ``c_star_multi``, ``c_star_s``,
+The multinomial stars C*_{m,k}(A_r) and the complex-order combination
+C*_{s,m,k}(x;A_r) that the zeta asymptotics need are read from one exact
+table C*_{0..m,k}(A_r), behind ``c_star_multi``, ``c_star_s``,
 ``c_star_s_exact``, the zeta main terms and the exact integer orders of
-``zeta_accelerated`` is built once per key and kept for the latest 128
-keys (``_periodic_stars``).  The key is m, k and the
-sorted pairs (a, t a mod k), so permuted weights and twists that agree on
-every t a mod k share one entry.  ``_periodic_stars`` is the one gate of
-every table read: it refuses m < 0 and an inadmissible twist before the
-lookup.  The twist rule itself is ``bernoulli_euler._check_twist``.
+``zeta_accelerated``.  The stars' generating function is the generalized
+Euler one at the conjugate twist, so the table is the generalized Euler
+numbers E_n(k, -t; A_r), scaled (``_periodic_star_memo``): one build by
+``bernoulli_euler._gen_euler_values`` and no convolution of per-weight
+tables.  It is built once per key and kept for the latest 128 keys
+(``_periodic_stars``).  The key is m, k and the sorted pairs
+(a, t a mod k) of ``bernoulli_euler._twist_pairs``, so permuted weights
+and twists that agree on every t a mod k share one entry.
+``_periodic_stars`` is the one gate of every table read: it refuses m < 0
+and an inadmissible twist before the lookup.  The twist rule itself is
+``bernoulli_euler._check_twist``.
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ from fractions import Fraction
 from typing import Union
 
 from .bernoulli_euler import (
-    _as_weights,
     _bernoulli_value,
     _binomial_assembly,
     _check_twist,
+    _gen_euler_values,
+    _twist_pairs,
     bernoulli_numbers,
     periodic_bernoulli,
 )
@@ -57,7 +64,6 @@ from .exact import (
     RationalLike,
     _root_sum,
     as_fraction,
-    binomial_convolve,
     roots_of_unity,
 )
 
@@ -163,29 +169,34 @@ def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber
     """
     if m_max < 0:
         raise ValueError("m must be nonnegative")
-    A = _as_weights(A)
-    for a in A:
-        _check_twist(k, t, a)
-    return _periodic_star_memo(m_max, k, tuple(sorted((a, t * a % k) for a in A)))
+    return _periodic_star_memo(m_max, k, _twist_pairs(k, t, A))
 
 
 @functools.lru_cache(maxsize=128)
 def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNumber, ...]:
     """The table of :func:`_periodic_stars`; the latest 128 keys are kept.
 
-    The per-weight tables of c_star(l, k, a, t), binomially convolved.  Each
-    sees a weight only through the pair (a, t a mod k), and the convolution is
-    symmetric in the weights, so tables are keyed on m_max, k and the sorted pairs.
+    The stars' generating function is the Euler one at the conjugate twist:
+    sum_j C*_j z^j/j! = prod_l z/(zeta^{-t a_l} e^{a_l z/k} - 1)
+    = (-1)^r 2^{-r} z^r sum_n E_n(k, -t; A_r) (z/k)^n/n!, so
+
+        C*_{j,k}(A_r) = (-1)^r j! / ((j-r)! 2^r k^{j-r}) E_{j-r}(k, -t; A_r),   j >= r,
+
+    and C*_j = 0 for j < r.  The E_n are built once, by the private builder
+    ``bernoulli_euler._gen_euler_values`` on the pairs (a, -u mod k), so the
+    public Euler entries count no star build.
     """
-    tables = [
-        [em_constant(l, k, u) * Fraction(a) ** (l - 1) for l in range(m_max + 1)]
-        for a, u in pairs
-    ]
-    return tuple(functools.reduce(binomial_convolve, tables))
+    r = len(pairs)
+    conjugate = tuple((a, -u % k) for a, u in pairs)
+    numbers = _gen_euler_values(m_max - r, k, conjugate) if m_max >= r else []
+    return (CyclotomicNumber.zero(k),) * min(r, m_max + 1) + tuple(
+        e * Fraction((-1) ** r * math.factorial(n + r), math.factorial(n) * 2**r * k**n)
+        for n, e in enumerate(numbers)
+    )
 
 
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
-    """C*_{m,k}(A_r): the multinomial convolution of the single-weight stars."""
+    """C*_{m,k}(A_r), read from the star table of :func:`_periodic_stars`."""
     return _periodic_stars(m, k, A)[m]
 
 

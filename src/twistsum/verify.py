@@ -27,7 +27,6 @@ from .cli import _direct_value
 from .exact import (
     CyclotomicNumber,
     TruncatedSeries,
-    binomial_convolve,
     binomial_inverse,
     cyc_root,
     euler_phi,
@@ -198,7 +197,7 @@ def suite_exact(seed: int) -> SuiteReport:
                 coords = (got.order, got.coeffs) if k > 1 else (1, (got,))
                 if type(got) is not type(values[0]) or coords != (want.order, want.coeffs):
                     return f"binomial_inverse([{shown}])[{n}] = {got}, series inverse {want}"
-            if binomial_convolve(values, out) != [1] + [0] * T:
+            if oracles.binomial_convolve(values, out) != [1] + [0] * T:
                 return f"v * binomial_inverse(v) is not 1, 0, ... for v = [{shown}]"
         return None
 
@@ -443,6 +442,24 @@ def suite_cvalues(seed: int) -> SuiteReport:
         return None
 
     rep.check("starred-value generating-function cross-checks", gf_checks)
+
+    def star_table() -> Optional[str]:
+        # the runtime table is read off the Euler numbers at the conjugate twist; the
+        # reference convolves per-weight tables of Bernoulli-value sums (em_constant)
+        grid = [(k, t) for k in (2, 3, 4, 5, 6, 12) for t in range(1, k)]
+        for i, (k, t) in enumerate(grid):
+            weights = [a for a in range(1, 2 * k) if t * a % k]
+            A = [rng.choice(weights) for _ in range(1 + i % 4)]
+            if i % 3 == 0:
+                A[-1] = A[0]  # a repeated weight
+            q = 14 if i % 5 == 0 else rng.randint(0, 14)
+            got = tc._periodic_stars(q, k, A, t)
+            want = oracles._star_table(tc.c_star, q, k, A, t)
+            if [(c.order, c.coeffs) for c in got] != [(c.order, c.coeffs) for c in want]:
+                return f"star table differs from the Bernoulli-sum convolution at q={q}, k={k}, t={t}, A={A}"
+        return None
+
+    rep.check("star table equals the convolution of Bernoulli-sum stars (r <= 4, q <= 14)", star_table)
     return rep
 
 

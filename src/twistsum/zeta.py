@@ -490,14 +490,24 @@ class ContinuationReport:
 def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> ContinuationReport:
     """Compare Z(-m, c) against E_m(c, j; A_r) exactly evaluated.
 
-    Both sides are exact, and they are independent at every order and
-    period: :func:`zeta_accelerated` reads the asymptotic main term from the
-    C* star table, and E_m(c, j; A_r) is the generalized Euler build
-    evaluated by Horner's rule.  The continuation convention validated by the
+    Both sides are exact, and both come from one builder,
+    ``bernoulli_euler._gen_euler_values``: :func:`zeta_accelerated` reads
+    the asymptotic main term from the C* star table, which is that build at
+    the conjugate twist -t, and E_m(c, j; A_r) is the build at t evaluated
+    by Horner's rule.  So the comparison checks the reflection
+
+        E_m(x, t; A_r) = (-1)^{m+r} zeta^{-t A.1} E_m(A.1 - x, -t; A_r)
+
+    and the scaling from the Euler numbers to the stars, not the builder: a
+    fault that both twists share, such as a wrong 2^{-r}, passes it.  The
+    checks independent of the builder are the star table against the
+    convolution of per-weight Bernoulli-value sums (``oracles._star_table``,
+    in ``verify``'s cvalues suite) and the closed power sum against the
+    brute-force one.  The continuation convention validated by the
     brute-force power-sum oracle carries no extra exponential factor; the
     alternative normalization E_m(c)/e^{jc} is measured and reported
-    alongside it.  Raises ValueError before any work
-    unless ``tol`` is finite and positive.
+    alongside it.  Raises ValueError before any work unless ``tol`` is
+    finite and positive.
     """
     _require_tol(tol)
     if m < 0:

@@ -1,0 +1,116 @@
+"""Regenerate ``cli.jsonl``, the golden corpus of the CLI's star-table readers.
+
+Each line records one call of ``twistsum.cli.main``: its argv, stdout,
+stderr and exit code.  The cases cover every command that reads the exact
+star table C*_{0..q,k}(A_r): ``zeta`` with each method (long periods,
+depths q = 171/172/300 and the overflow refusals among them),
+``c-values --star/--multi`` exact and ``--numeric``, ``probe t3/t4``, and
+the ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  No output
+depends on the wall clock.  ``tests/test_golden_cli.py`` replays the corpus
+through :func:`replay` and compares byte for byte.
+
+Run from the repository root, with ``TWISTSUM_TOL`` unset:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from twistsum.cli import main as cli_main
+
+CORPUS = Path(__file__).with_name("cli.jsonl")
+
+_ZETA = [
+    # integer orders of the continuation: exact, read from the star table
+    "zeta --method accel --s=-2 --x 10 --k 2 --t 1 --weights 1,3,5,7",
+    "zeta --method accel --s=-8 --x 1 --k 2 --t 1 --weights 1",
+    "zeta --method accel --s=-2 --x 1 --k 2 --t 1 --weights 101,103,107",
+    "zeta --method accel --s=-5 --x 0.25 --k 7 --t 3 --weights 2,3",
+    "zeta --method accel --s=-3 --x 2.5 --k 5 --t 2 --weights 1,2,3",
+    "zeta --method accel --s=-4 --x 0 --k 3 --t 2 --weights 1,1,2",
+    "zeta --method accel --s=-6 --x 3 --k 12 --t 5 --weights 1,2,3,5",
+    "zeta --method accel --s=-40 --x 1 --k 7 --t 1 --weights 2,3",
+    "zeta --method accel --s=-120 --x 1 --k 7 --t 1 --weights 2,3",
+    "zeta --method accel --s=-400 --x 1e10 --k 2 --t 1 --weights 1",
+    # the float transformation
+    "zeta --method accel --s 2 --x 1 --k 2 --t 1 --weights 1",
+    "zeta --method accel --s 1.5 --x 1 --k 3 --t 1 --weights 1,2",
+    "zeta --method accel --s 2,1 --x 1 --k 2 --t 1 --weights 1",
+    "zeta --method accel --s 2 --x 1 --k 2 --t 1 --weights 2",
+    # the asymptotic main term
+    "zeta --method asym --s=-2 --x 20 --k 3 --t 1 --weights 1,2 --q 4",
+    "zeta --method asym --s 0.5 --x 10 --k 2 --t 1 --weights 1 --q 3",
+    "zeta --method asym --s=-0.5,0.5 --x 30 --k 4 --t 1 --weights 1,3 --q 6",
+    "zeta --method asym --s=-1 --x 100 --k 7 --t 1 --weights 2,3 --q 60",
+    "zeta --method asym --s 0.5 --x 50 --k 5 --t 2 --weights 1,1,3 --q 9",
+    "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 171",
+    "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 172",
+    "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 300",
+    "zeta --method asym --s=-320 --x 1000 --k 3 --t 1 --weights 1,2",
+    "zeta --method asym --s 0.5 --x 2 --k 3 --t 1 --weights 1,2",
+    # the finite box sum and the direct sum
+    "zeta --method finite --s=-2 --x 0 --k 2 --t 1 --weights 1 --q 2 --limits 20",
+    "zeta --method finite --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2 --limits 8,8",
+    "zeta --method finite --s=-3 --x 1 --k 3 --t 1 --weights 1,2 --limits 5,4",
+    "--tol 1e-6 zeta --method direct --s 3 --x 1 --k 2 --t 1 --weights 1",
+    "zeta --method direct --s 0.05 --x 1 --k 2 --t 1 --weights 1",
+    "zeta --method asym --s 0.5 --x 20 --k 2 --t 1 --weights 2 --q 3",
+]
+
+_C_VALUES = [
+    "c-values --n 5 --k 3 --multi 1,2",
+    "c-values --n 5 --k 3 --multi 1,2 --numeric",
+    "c-values --n 0 --k 3 --multi 1,2",
+    "c-values --n 8 --k 7 --multi 2,3,5",
+    "c-values --n 8 --k 7 --multi 2,3,5 --numeric",
+    "c-values --n 6 --k 4 --multi 1,1,3",
+    "c-values --n 12 --k 12 --multi 1,5,7,11",
+    "c-values --n 5 --k 3 --a 2 --star",
+    "c-values --n 5 --k 3 --a 2 --star --numeric",
+    "c-values --n 7 --k 5 --a 4 --star",
+    "c-values --n 4 --k 2 --multi 2",
+    "c-values --n -1 --k 3 --multi 1",
+]
+
+_PROBE = [
+    "probe --target t4 --scales 10,20,40 --s 0.5 --x 10 --k 2 --t 1 --weights 1 --q 2",
+    "probe --target t4 --scales 10,20,40 --s=-2 --x 10 --k 3 --t 1 --weights 1,2 --q 4",
+    "probe --target t3 --scales 8,16,32 --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2",
+    "probe --target t3 --scales 4,8,16 --s=-1 --x 1 --k 3 --t 1 --weights 1,2 --q 3",
+]
+
+_VERIFY = [f"verify --suite {suite} --seed {seed}" for suite in ("cvalues", "zeta") for seed in (0, 7)]
+
+CASES = [line.split() for line in _ZETA + _C_VALUES + _PROBE + _VERIFY]
+
+
+def replay(argv: list[str]) -> dict:
+    """One in-process call of ``cli.main``: {"argv", "stdout", "stderr", "code"}.
+
+    A usage error exits through argparse's SystemExit; its code is recorded.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+
+
+def main() -> None:
+    if "TWISTSUM_TOL" in os.environ:
+        raise SystemExit("unset TWISTSUM_TOL: the corpus records the default --tol")
+    with CORPUS.open("w", encoding="utf-8") as fh:
+        for argv in CASES:
+            fh.write(json.dumps(replay(argv), sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

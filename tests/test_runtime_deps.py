@@ -48,6 +48,7 @@ def test_cli_runs_with_numpy_blocked():
 
 RUNTIME = ("exact", "bernoulli_euler", "powersum", "twisted_c", "euler_maclaurin", "zeta")
 ORACLES = (
+    "binomial_convolve",
     "gen_euler_numbers_by_convolution",
     "gen_euler_poly_partition_check",
     "c_star_multi_gf_check",
@@ -98,7 +99,8 @@ def test_oracles_live_outside_the_runtime_modules():
         import sys, twistsum
         print("twistsum.oracles" in sys.modules)
         print([(m, n) for m in {RUNTIME!r} for n in {ORACLES!r} if hasattr(getattr(twistsum, m), n)])
-        print(sorted({{getattr(twistsum, n).__module__ for n in {ORACLES!r}}}))
+        import twistsum.oracles
+        print(sorted({{getattr(twistsum.oracles, n).__module__ for n in {ORACLES!r}}}))
     """))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "[]", "['twistsum.oracles']"]

@@ -6,7 +6,7 @@ from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
 from twistsum.oracles import _star_table, c_star_multi_gf_check
-from twistsum import twisted_c
+from twistsum import bernoulli_euler, exact, oracles, twisted_c
 from twistsum.twisted_c import (
     _PeriodicKernel,
     _periodic_stars,
@@ -228,12 +228,26 @@ class TestStarMemo:
                 weights = [a for a in range(1, 2 * k) if t * a % k]
                 if len(weights) < 2:
                     continue
-                a, b = weights[0], weights[-1]
-                for i, A in enumerate([(a,), (a, b), (b, a), (b, a, b)]):
-                    q = (k + t + 3 * i) % 13  # every q <= 12 occurs
+                a, b, c = weights[0], weights[-1], weights[len(weights) // 2]
+                for i, A in enumerate([(a,), (a, b), (b, a), (b, a, b), (c, a, b, a)]):
+                    q = (k + t + 3 * i) % 15  # every q <= 14 occurs
                     memo = _periodic_stars(q, k, A, t)
                     assert isinstance(memo, tuple)
                     assert _literal(memo) == _literal(_star_table(c_star, q, k, A, t))
+
+    def test_a_cold_build_calls_no_other_table_builder(self, monkeypatch):
+        # the table is read off the private Euler build alone: no per-weight
+        # Bernoulli sums, no convolution and no public Euler entry
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the star table called another builder")
+
+        monkeypatch.setattr(twisted_c, "em_constant", forbidden)
+        monkeypatch.setattr(oracles, "binomial_convolve", forbidden)
+        monkeypatch.setattr(bernoulli_euler, "gen_euler_numbers", forbidden)
+        monkeypatch.setattr(bernoulli_euler, "gen_euler_poly", forbidden)
+        for q, k, A, t in ((14, 7, (2, 3), 1), (9, 12, (1, 5, 5, 7), 5), (1, 3, (1, 2), 2)):
+            assert len(_periodic_stars(q, k, A, t)) == q + 1
+        assert not hasattr(exact, "binomial_convolve")
 
     def test_keys_with_the_same_pairs_share_one_entry(self):
         memo = twisted_c._periodic_star_memo

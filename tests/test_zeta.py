@@ -633,9 +633,10 @@ class TestExactIntegerOrders:
         "m, x, A", [(1, 0, (9973, 9967)), (2, 1, (101, 103, 107)), (2, 10, (1, 3, 5, 7)), (6, 1, (1, 1))]
     )
     def test_one_star_table_at_every_period(self, monkeypatch, m, x, A):
-        # neither the Euler build nor the lattice-point counts, and one table per key
+        # the table is the private Euler build at the conjugate twist: no public
+        # Euler entry, no lattice-point count, and one table per key
         def no_work(*args, **kwargs):
-            raise AssertionError("Euler build or count sum started")
+            raise AssertionError("a public Euler entry or a count sum started")
 
         twist = TwistSpec(2, 1)
         want = [gen_euler_poly(m, twist, A).eval_exact(F(y)).embed() for y in (x, x + 1 / 2)]
