@@ -182,16 +182,19 @@ def _cmd_em_sum(args) -> dict:
     }
 
 
-def _cmd_zeta(args) -> dict:
-    from .zeta import ZetaSpec, finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
+def _zeta_spec(args) -> ZetaSpec:
+    """The ``ZetaSpec`` of the ``zeta`` and ``probe`` options."""
+    from .zeta import ZetaSpec
 
-    spec = ZetaSpec(
-        _parse_complex(args.s),
-        float(args.x),
-        TwistSpec(args.k, args.t),
-        WeightVector(args.weights),
-        args.q,
+    return ZetaSpec(
+        _parse_complex(args.s), float(args.x), TwistSpec(args.k, args.t), WeightVector(args.weights), args.q
     )
+
+
+def _cmd_zeta(args) -> dict:
+    from .zeta import finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
+
+    spec = _zeta_spec(args)
     if args.method == "direct":
         value = _direct_value(spec, args.terms, args.tol)
     elif args.method == "accel":
@@ -236,16 +239,10 @@ def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
 
 
 def _cmd_probe(args) -> dict:
-    from .zeta import ZetaSpec, decay_probe
+    from .zeta import decay_probe
 
     target = {"t3": "limits", "t4": "shift"}[args.target]
-    spec = ZetaSpec(
-        _parse_complex(args.s),
-        float(args.x),
-        TwistSpec(args.k, args.t),
-        WeightVector(args.weights),
-        args.q,
-    )
+    spec = _zeta_spec(args)
     scales = [float(v) if target == "shift" else int(v) for v in args.scales.split(",")]
     report = decay_probe(target, spec, scales, tol=args.tol)
     return report.to_json_obj()

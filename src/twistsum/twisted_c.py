@@ -20,17 +20,20 @@ Bernoulli values at the rationals -l/k.  No polynomial arithmetic is done.
 
 ``em_constant`` returns the periodic one, and the single-weight star
 C*_{m,k}(a) = C_{m,k}(t a) a^{m-1} of ``c_star`` is built on it.
-``c_star`` and ``c_star_s`` take the twist numerator t of the root
-zeta^{t a} (default 1); the constant sees only t a, the weight scaling
-a^{m-1} the raw weight.
+``c_star``, ``c_star_s`` and ``c_star_s_exact`` take the twist numerator t
+of the root zeta^{t a} (default 1); the constant sees only t a, the weight
+scaling a^{m-1} the raw weight.
 
 The multinomial stars C*_{m,k}(A_r) and the complex-order combination
 C*_{s,m,k}(x;A_r) that the zeta asymptotics need are read from one exact
-table C*_{0..m,k}(A_r), behind ``c_star_multi``, ``c_star_s``,
-``c_star_s_exact``, the zeta main terms and the exact integer orders of
-``zeta_accelerated``.  The stars' generating function is the generalized
-Euler one at the conjugate twist, so the table is the generalized Euler
-numbers E_n(k, -t; A_r), scaled (``_periodic_star_memo``): one build by
+table C*_{0..m,k}(A_r), behind ``c_star_multi`` and the two evaluators of
+the combination: ``c_star_s`` in floats, which the zeta main terms call,
+and ``c_star_s_exact`` in Q(zeta_k), which the exact integer orders of
+``zeta_accelerated`` call.  ``c_star_s`` refuses an overflowing first
+power and a depth m > 171 before the table is read, so neither builds it.
+The stars' generating function is the generalized Euler one at the
+conjugate twist, so the table is the generalized Euler numbers
+E_n(k, -t; A_r), scaled (``_periodic_star_memo``): one build by
 ``bernoulli_euler._gen_euler_values`` and no convolution of per-weight
 tables.  It is built once per key and kept for the latest 128 keys
 (``_periodic_stars``).  The key is m, k and the sorted pairs
@@ -228,17 +231,25 @@ def general_binomial(s: complex, j: int) -> complex:
 def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
     """C*_{s,m,k}(x;A_r) = sum_{j<=m} (-k)^j C(s,j) C*_{j,k}(A_r) x^{s-j}.
 
-    Principal branch for x^{s-j}; requires x > 0.
+    Principal branch for x^{s-j}; requires x > 0.  The one float evaluator
+    of the star combination: the asymptotic main terms of ``zeta`` call it.
+    Two refusals come before the star table is read, so neither builds it.
+    When m >= r the sum's first nonzero term, at C*_r, takes the power
+    x^{s-r}; it is taken first, so an order at which it overflows raises
+    that OverflowError.  A depth m > 171 is refused next: the term at C*_j
+    divides by j!, which leaves the float range at j = 171, and a table this
+    deep holds a nonzero star at j = 171 or 172 on every key checked
+    (k <= 12, r <= 3).
     """
     if not (x > 0):
         raise ValueError("x must be positive (principal branch)")
-    return _c_star_s_from_table(s, k, x, _periodic_stars(m, k, A, t))
-
-
-def _c_star_s_from_table(s: complex, k: int, x: float, stars) -> complex:
-    """:func:`c_star_s` from its star table [C*_{0,k}(A_r), ..., C*_{m,k}(A_r)]."""
+    r = len(A)
+    if m >= r:
+        complex(x) ** (s - r)  # the first term's power, which may overflow
+    if m > 171:  # 171! > sys.float_info.max
+        raise OverflowError("int too large to convert to float")
     total = 0j
-    for j, star in enumerate(stars):
+    for j, star in enumerate(_periodic_stars(m, k, A, t)):
         if star.is_zero():
             continue
         total += (
@@ -252,15 +263,26 @@ def _c_star_s_from_table(s: complex, k: int, x: float, stars) -> complex:
     return total
 
 
-def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A) -> CyclotomicNumber:
-    """Exact evaluation of C*_{n,m,k}(x;A_r) for integer order n >= m, rational x."""
+def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A, t: int = 1) -> CyclotomicNumber:
+    """C*_{n,m,k}(x;A_r) exactly in Q(zeta_k), for integer order n >= m and rational x.
+
+    The one exact evaluator of the star combination: the exact integer orders
+    of ``zeta`` call it.  With x = p/q, the coordinates of each star are
+    scaled by the integer (-k)^j C(n, j) p^{n-j} q^j, their raw sum is
+    reduced once modulo Phi_k (``exact._root_sum``), and the result is
+    divided once by q^n.
+    """
     if n < m:
         raise ValueError("integer order n must be at least the truncation m")
     xq = as_fraction(x)
-    total = CyclotomicNumber.zero(k)
-    for j, star in enumerate(_periodic_stars(m, k, A)):
-        if star.is_zero():
-            continue
-        term = star * ((-k) ** j * math.comb(n, j)) * xq ** (n - j)
-        total = total + term
-    return total
+    p, q = xq.numerator, xq.denominator
+    total = _root_sum(
+        k,
+        (
+            (i, c * ((-k) ** j * math.comb(n, j) * p ** (n - j) * q**j))
+            for j, star in enumerate(_periodic_stars(m, k, A, t))
+            for i, c in enumerate(star.coeffs)
+            if c
+        ),
+    )
+    return total * Fraction(1, q**n)

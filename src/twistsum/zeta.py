@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import CyclotomicNumber, _root_sum, as_fraction, roots_of_unity
-from .twisted_c import _c_star_s_from_table, _periodic_stars, pochhammer
+from .twisted_c import c_star_s, c_star_s_exact, pochhammer
 
 
 class AccelerationError(RuntimeError):
@@ -280,35 +280,23 @@ def _exact_main_term(spec: ZetaSpec) -> CyclotomicNumber:
 
     At sigma = m that term is exact and, with y = x - A.1, equals
 
-        (-2)^r zeta^{-t A.1} m! / (k^r n!) sum_{j<=n} (-k)^j C(n, j) C*_{j,k}(A_r) y^{n-j},
+        (-2)^r zeta^{-t A.1} m! / (k^r n!) C*_{n,n,k}(y; A_r),
 
     a polynomial of degree m in x, since C*_{j,k}(A_r) = 0 for j < r.  So it
-    holds at every shift, also below A.1.  With y = p/q, the coordinates of
-    each star are scaled by the integer (-k)^j C(n, j) p^{n-j} q^j and
-    rotated by zeta^{-t A.1}, their raw sum is reduced once modulo Phi_k
-    (``exact._root_sum``), and the result is scaled once by the rational
-    (-2)^r m! / (k^r n! q^n).  The table C*_{0..n,k}(A_r) is read from the
-    bounded memo of ``twisted_c``.
+    holds at every shift, also below A.1.  C*_{n,n,k}(y; A_r) is the one
+    exact evaluator ``twisted_c.c_star_s_exact``, which reads the bounded
+    memo of star tables; it is rotated by zeta^{-t A.1} and scaled by the
+    rational (-2)^r m! / (k^r n!).
     """
     m = -int(spec.s.real)
     k, t = spec.twist.k, spec.twist.t
     r = len(spec.A)
     n = m + r
     weight_total = sum(spec.A.entries)
-    p, q = spec.x.as_integer_ratio()
-    p -= weight_total * q
-    stars = _periodic_stars(n, k, spec.A, t)
+    value = c_star_s_exact(n, n, k, Fraction(spec.x) - weight_total, spec.A, t)
+    scale = Fraction((-2) ** r * math.factorial(m), k**r * math.factorial(n))
     rotation = -t * weight_total
-    total = _root_sum(
-        k,
-        (
-            (rotation + i, c * ((-k) ** j * math.comb(n, j) * p ** (n - j) * q**j))
-            for j in range(r, n + 1)
-            for i, c in enumerate(stars[j].coeffs)
-            if c
-        ),
-    )
-    return total * Fraction((-2) ** r * math.factorial(m), k**r * math.factorial(n) * q**n)
+    return _root_sum(k, ((rotation + i, c * scale) for i, c in enumerate(value.coeffs) if c))
 
 
 def _transform(spec: ZetaSpec, tol: float) -> complex:
@@ -368,14 +356,11 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
 def _main_term(spec: ZetaSpec, x: float) -> complex:
     """:func:`zeta_asymptotic` at shift x.
 
-    The star table depends on q, k, t and A but not on x, so every shift of
-    one spec reads the same memoized table (``twisted_c._periodic_stars``).
-    When q >= r the sum's first nonzero term, at C*_r, takes the power
-    arg^sigma; it is taken before the table is read, so an order at which it
-    overflows raises that OverflowError before any build.  A depth q > 171
-    is refused next, before the build too: the term at C*_j divides by j!,
-    which leaves the float range at j = 171, and a table this deep holds a
-    nonzero star at j = 171 or 172 on every key checked (k <= 12, r <= 3).
+    The sum is the one float evaluator ``twisted_c.c_star_s`` at order
+    sigma + r, depth q and argument x - A.1.  Its star table depends on q,
+    k, t and A but not on x, so every shift of one spec reads the same
+    memoized table, and ``c_star_s`` refuses an overflowing first power and
+    a depth q > 171 before that table is built.
     """
     sigma = spec.sigma()
     if sigma.real <= -1:
@@ -391,13 +376,7 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
         * roots_of_unity(k)[t * weight_total % k].conjugate()
         / (k**r * pochhammer(sigma + 1, r))
     )
-    q = spec.effective_q()
-    if q >= r:
-        complex(arg) ** (sigma + r - r)  # the first term's power, which may overflow
-    if q > 171:  # 171! > sys.float_info.max
-        raise OverflowError("int too large to convert to float")
-    stars = _periodic_stars(q, k, spec.A, t)
-    return prefactor * _c_star_s_from_table(sigma + r, k, arg, stars)
+    return prefactor * c_star_s(sigma + r, spec.effective_q(), k, arg, spec.A, t)
 
 
 def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) -> complex:
@@ -473,18 +452,6 @@ class ContinuationReport:
     exact_matches: bool
     alternative_value: complex
     alternative_matches: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "accelerated": {"re": self.accelerated.real, "im": self.accelerated.imag},
-            "exact": {"re": self.exact_value.real, "im": self.exact_value.imag},
-            "exact_matches": self.exact_matches,
-            "alternative": {
-                "re": self.alternative_value.real,
-                "im": self.alternative_value.imag,
-            },
-            "alternative_matches": self.alternative_matches,
-        }
 
 
 def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> ContinuationReport:

@@ -5,7 +5,12 @@ stderr and exit code.  The cases cover every command that reads the exact
 star table C*_{0..q,k}(A_r): ``zeta`` with each method (long periods,
 depths q = 171/172/300 and the overflow refusals among them),
 ``c-values --star/--multi`` exact and ``--numeric``, ``probe t3/t4``, and
-the ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  No output
+the ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  They also
+cover the other commands: ``sum`` closed, brute, both and ``--trace``,
+``euler-gen`` numbers and ``--poly``, ``c-values --a`` with and without
+``--x``, ``em-sum`` unit and ``--scaled`` with poly and exp presets, one
+``--text`` call per command, one usage error (exit 2), and the ``exact``,
+``powersum``, ``euler`` and ``em`` verify suites at seed 0.  No output
 depends on the wall clock.  ``tests/test_golden_cli.py`` replays the corpus
 through :func:`replay` and compares byte for byte.
 
@@ -25,6 +30,9 @@ from pathlib import Path
 from twistsum.cli import main as cli_main
 
 CORPUS = Path(__file__).with_name("cli.jsonl")
+
+#: the terminal width argparse reads from ``COLUMNS``; it wraps the recorded usage error
+USAGE_COLUMNS = "80"
 
 _ZETA = [
     # integer orders of the continuation: exact, read from the star table
@@ -87,7 +95,56 @@ _PROBE = [
 
 _VERIFY = [f"verify --suite {suite} --seed {seed}" for suite in ("cvalues", "zeta") for seed in (0, 7)]
 
-CASES = [line.split() for line in _ZETA + _C_VALUES + _PROBE + _VERIFY]
+_SUM = [
+    "sum --weights 3,1 --limits 100,150 --x 0 --s 2 --k 2 --t 1 --method both",
+    "sum --weights 1,2 --limits 3,4 --x 1/2 --s 3 --k 5 --t 1 --method closed",
+    "sum --weights 1,2,4 --limits 3,2,4 --x 2/3 --s 7 --k 3 --t 2 --method brute",
+    "sum --weights 3,1 --limits 10,15 --x 0 --s 2 --k 2 --t 1 --trace",
+    "sum --weights 2 --limits 3 --x 0 --s 1 --k 2 --t 1",
+]
+
+_EULER_GEN = [
+    "euler-gen --k 2 --t 1 --weights 1 --order 3",
+    "euler-gen --k 5 --t 2 --weights 1,2,3 --order 6",
+    "euler-gen --k 2 --t 1 --weights 1,3 --order 2 --poly",
+    "euler-gen --k 7 --t 3 --weights 2,3 --order 5 --poly",
+]
+
+_C_VALUES_A = [
+    "c-values --n 4 --k 3 --a 2",
+    "c-values --n 3 --k 5 --a 2 --numeric",
+    "c-values --n 4 --k 3 --a 2 --x 1/3",
+    "c-values --n 3 --k 5 --a 2 --x 7/2 --numeric",
+]
+
+_EM_SUM = [
+    "em-sum --preset poly:0,0,1 --m 0 --n 1 --k 2 --a 1 --q 2",
+    "em-sum --preset poly:1/2,0,1/3 --m -1 --n 2 --k 2 --a 1 --q 3",
+    "em-sum --preset exp:0.3 --m 0 --n 2 --k 3 --a 1 --q 4",
+    "em-sum --preset poly:1,2,0,1 --m 0 --n 3 --k 4 --a 1 --q 3 --scaled",
+    "em-sum --preset exp:0.3 --m 0 --n 2 --k 3 --a 1 --q 4 --scaled",
+    "em-sum --preset exp:nan --m 0 --n 3 --k 3 --a 1 --q 2",
+]
+
+_TEXT = [
+    "--text sum --weights 1,2 --limits 3,4 --x 1/2 --s 3 --k 5 --t 1 --trace",
+    "--text euler-gen --k 3 --t 1 --weights 1,2 --order 2 --poly",
+    "--text c-values --n 5 --k 3 --multi 1,2",
+    "--text em-sum --preset exp:0.3 --m 0 --n 2 --k 3 --a 1 --q 4",
+    "--text zeta --method asym --s=-2 --x 20 --k 3 --t 1 --weights 1,2 --q 4",
+    "--text probe --target t4 --scales 10,20,40 --s 0.5 --x 10 --k 2 --t 1 --weights 1 --q 2",
+    "--text verify --suite em --seed 0",
+]
+
+_USAGE = ["sum --weights 1"]
+
+_VERIFY_MORE = [f"verify --suite {suite} --seed 0" for suite in ("exact", "powersum", "euler", "em")]
+
+CASES = [
+    line.split()
+    for line in _ZETA + _C_VALUES + _PROBE + _VERIFY
+    + _SUM + _EULER_GEN + _C_VALUES_A + _EM_SUM + _TEXT + _USAGE + _VERIFY_MORE
+]
 
 
 def replay(argv: list[str]) -> dict:
@@ -107,6 +164,7 @@ def replay(argv: list[str]) -> dict:
 def main() -> None:
     if "TWISTSUM_TOL" in os.environ:
         raise SystemExit("unset TWISTSUM_TOL: the corpus records the default --tol")
+    os.environ["COLUMNS"] = USAGE_COLUMNS  # argparse wraps the usage error to the terminal
     with CORPUS.open("w", encoding="utf-8") as fh:
         for argv in CASES:
             fh.write(json.dumps(replay(argv), sort_keys=True) + "\n")

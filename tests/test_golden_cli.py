@@ -1,7 +1,7 @@
 """Replay the CLI golden corpus (``tests/golden/cli.jsonl``) through ``cli.main``.
 
-Each recorded call of a star-table reader must give the same stdout, stderr
-and exit code, byte for byte.  ``tests/golden/regen.py`` rewrites the corpus.
+Each recorded call must give the same stdout, stderr and exit code, byte
+for byte.  ``tests/golden/regen.py`` rewrites the corpus.
 """
 
 import importlib.util
@@ -25,4 +25,5 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("record", _RECORDS, ids=[" ".join(rec["argv"]) for rec in _RECORDS])
 def test_replay_is_byte_identical(record, monkeypatch):
     monkeypatch.delenv("TWISTSUM_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", regen.USAGE_COLUMNS)
     assert regen.replay(record["argv"]) == record

@@ -325,10 +325,17 @@ class TestCStarS:
             c_star_s(1.0, 1, 2, -3.0, (1,))
 
     def test_exact_path_matches_numeric(self):
-        for n, m, k, x, A in [(3, 2, 2, 9, (1,)), (4, 4, 3, 5, (1, 2)), (2, 2, 4, 7, (1, 3))]:
-            exact = c_star_s_exact(n, m, k, F(x), A).embed()
-            numeric = c_star_s(complex(n), m, k, float(x), A)
-            assert abs(numeric - exact) <= 1e-10 * (1 + abs(exact))
+        for n, m, k, x, A, t in [
+            (3, 2, 2, 9, (1,), 1),
+            (4, 4, 3, 5, (1, 2), 1),
+            (2, 2, 4, 7, (1, 3), 1),
+            (5, 4, 5, F(7, 2), (1, 2), 2),
+            (6, 6, 7, F(9, 4), (2, 3), 3),
+            (4, 3, 12, 3, (1, 5, 7), 5),
+        ]:
+            exact = c_star_s_exact(n, m, k, F(x), A, t).embed()
+            numeric = c_star_s(complex(n), m, k, float(x), A, t)
+            assert abs(numeric - exact) <= 1e-10 * (1 + abs(exact)), (n, m, k, x, A, t)
 
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError, match="m must be nonnegative"):

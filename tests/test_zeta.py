@@ -677,6 +677,18 @@ class TestExactIntegerOrders:
             assert abs(value - exact) <= 1e-6 * (1 + abs(exact)), (m, c, k, t, A)
 
 
+def star_combination_of(spec):
+    """The star combination inside ``zeta_asymptotic(spec)``, by ``twisted_c.c_star_s``."""
+    r = len(spec.A)
+    x = spec.x - sum(spec.A.entries)
+    return twisted_c.c_star_s(spec.sigma() + r, spec.effective_q(), spec.twist.k, x, spec.A, spec.twist.t)
+
+
+# (id prefix, evaluator): both refuse before the star table is built; the
+# empty prefix keeps the ids the zeta_asymptotic cases had
+REFUSING_EVALUATORS = [("", zeta_asymptotic), ("c_star_s-", star_combination_of)]
+
+
 class TestAsymptotic:
     def test_exact_at_integer_order_r1(self):
         spec = spec_of(-2, 10, 2, 1, (1,), q=3)
@@ -704,24 +716,38 @@ class TestAsymptotic:
         with pytest.raises(ValueError):
             zeta_asymptotic(spec_of(1.5, 10, 2, 1, (1,)))  # sigma = -1.5
 
-    @pytest.mark.parametrize("s, x, A", [(-160, 1000, (1, 2)), (-320, 1000, (1, 2)), (-400, 50, (1,))])
-    def test_overflowing_order_refused_before_the_star_build(self, monkeypatch, s, x, A):
+    @pytest.mark.parametrize(
+        "evaluate, s, x, A",
+        [
+            pytest.param(evaluate, s, x, A, id=f"{prefix}{s}-{x}-A{i}")
+            for prefix, evaluate in REFUSING_EVALUATORS
+            for i, (s, x, A) in enumerate([(-160, 1000, (1, 2)), (-320, 1000, (1, 2)), (-400, 50, (1,))])
+        ],
+    )
+    def test_overflowing_order_refused_before_the_star_build(self, monkeypatch, evaluate, s, x, A):
         def no_build(*args):
             raise AssertionError("star table built")
 
         monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
         with pytest.raises(OverflowError, match="complex exponentiation"):
-            zeta_asymptotic(spec_of(s, x, 3, 1, A))
+            evaluate(spec_of(s, x, 3, 1, A))
 
-    @pytest.mark.parametrize("q", [172, 300, 1100])
-    def test_deep_truncation_refused_before_the_star_build(self, monkeypatch, q):
+    @pytest.mark.parametrize(
+        "evaluate, q",
+        [
+            pytest.param(evaluate, q, id=f"{prefix}{q}")
+            for prefix, evaluate in REFUSING_EVALUATORS
+            for q in (172, 300, 1100)
+        ],
+    )
+    def test_deep_truncation_refused_before_the_star_build(self, monkeypatch, evaluate, q):
         # the term at C*_j divides by j!, past the float range from j = 171 on
         def no_build(*args):
             raise AssertionError("star table built")
 
         monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
         with pytest.raises(OverflowError, match="int too large to convert to float"):
-            zeta_asymptotic(spec_of(-0.5, 1.5, 3, 1, (1,), q=q))
+            evaluate(spec_of(-0.5, 1.5, 3, 1, (1,), q=q))
 
     def test_depth_171_still_sums_its_table(self):
         # C*_171 = 0 here, so no term divides by 171! and the value stands
