@@ -3,8 +3,9 @@
 Each checker evaluates one identity of the paper by a second path and
 returns whether it holds (exactly, or to a stated tolerance for floats):
 the generalized Euler numbers by multinomial convolution of single weights,
-the partition identity of the generalized Euler polynomials, the starred
-values against products of truncated power series, the closed form on the
+the partition identity of the generalized Euler polynomials, the twisted
+Bernoulli polynomials and the starred values against products of truncated
+power series (one builder of each per-weight factor), the closed form on the
 empty box, and the derivative evaluators of a smooth function.  The star
 table by the multinomial convolution of per-weight tables of Bernoulli-value
 sums (:func:`_star_table`) is the independent reference of the runtime's
@@ -41,7 +42,7 @@ from .exact import (
     cyc_root,
 )
 from .powersum import SumSpec, closed_sum
-from .twisted_c import _c_number, _periodic_stars
+from .twisted_c import CPolySpec, _c_number, _periodic_stars, c_poly
 
 
 def binomial_convolve(left: Sequence, right: Sequence) -> list:
@@ -124,6 +125,51 @@ def gen_euler_poly_partition_check(
     return acc[m] == lhs
 
 
+def _twisted_exp(k: int, u: int, rate: int, trunc: int) -> TruncatedSeries:
+    """zeta^u e^{rate w} - 1 through w^trunc.
+
+    Its constant term zeta^u - 1 vanishes only when k divides u: u = 0 gives
+    the numerator e^{rate w} - 1, an admissible u an invertible denominator.
+    """
+    root = cyc_root(k, u)
+    coeffs = [root - CyclotomicNumber.one(k)]
+    coeffs += [root * Fraction(rate**n, math.factorial(n)) for n in range(1, trunc + 1)]
+    return TruncatedSeries.from_coeffs(coeffs, trunc, k)
+
+
+def _closed_factor(k: int, a: int, u: int, trunc: int) -> TruncatedSeries:
+    """[k w/(e^{akw}-1)] * [(e^{-akw}-1)/(zeta^u e^{-aw}-1)] through w^trunc.
+
+    With w = z/k this is the per-weight factor
+    [z/(e^{az}-1)] * [(e^{-az}-1)/(zeta^u e^{-az/k}-1)] of the twisted
+    Bernoulli generating functions: working in w keeps the substitution
+    z -> z/k inside integer-exponent series arithmetic.
+    """
+    stripped = TruncatedSeries.from_coeffs(  # (e^{akw}-1)/(akw)
+        [Fraction((a * k) ** n, math.factorial(n + 1)) for n in range(trunc + 1)], trunc, k
+    )
+    numerator = _twisted_exp(k, 0, -a * k, trunc)  # e^{-akw}-1
+    return stripped.inverse().scale(Fraction(1, a)) * numerator * _twisted_exp(k, u, -a, trunc).inverse()
+
+
+def c_poly_gf_check(k: int, a: int, order_cap: int) -> bool:
+    """Check C_{n,k}(x;a), n <= order_cap, against its generating function, exactly.
+
+    The x-free part z/(e^z-1) * (e^{-z}-1)/(zeta^a e^{-z/k}-1) is the closed
+    factor of weight 1 and twist a; e^{xz} is multiplied in at order_cap + 1
+    distinct rational x = p/3 - 1, which fix every polynomial in x of
+    degree <= order_cap.
+    """
+    x_free = _closed_factor(k, 1, a, order_cap)
+    polys = [c_poly(CPolySpec(n, k, a)) for n in range(order_cap + 1)]
+    for x in (Fraction(p, 3) - 1 for p in range(order_cap + 1)):
+        product = x_free * TruncatedSeries.exp_linear(k * x, order_cap, k)
+        for n, poly in enumerate(polys):
+            if product.coeff(n) * Fraction(math.factorial(n), k**n) != poly.eval_exact(x):
+                return False
+    return True
+
+
 def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
     """Cross-check the starred values against their generating functions.
 
@@ -131,47 +177,22 @@ def c_star_multi_gf_check(m_max: int, k: int, A) -> bool:
     periodic star table C*_{0..m_max,k}(A_r) (``twisted_c._periodic_stars``)
     must match the product of the per-weight series
     z/(zeta^{-a} e^{az/k} - 1); the multinomial convolution of the
-    non-periodic stars must match the closed-form product
+    non-periodic stars must match the product of the closed factors
+    (:func:`_closed_factor`, twist u = a)
 
         prod_p [z/(e^{a_p z}-1)] * [(e^{-a_p z}-1)/(zeta^{a_p} e^{-a_p z/k}-1)].
 
-    The fractional substitution z -> z/k stays inside integer-exponent series
-    arithmetic by working in w = z/k and rescaling coefficients afterwards.
+    Both products are built in w = z/k, and their coefficients rescaled afterwards.
     """
     A = _as_weights(A)
     periodic_stars = _periodic_stars(m_max, k, A)  # refuses m_max < 0 and a bad twist first
     trunc = m_max
-
-    def twisted_exp(root: CyclotomicNumber, rate: int) -> TruncatedSeries:
-        # root * e^{rate*w} - 1; its constant term root-1 is nonzero by admissibility
-        coeffs: list = [root - CyclotomicNumber.one(k)]
-        for n in range(1, trunc + 1):
-            coeffs.append(root * Fraction(rate**n, math.factorial(n)))
-        return TruncatedSeries.from_coeffs(coeffs, trunc, k)
-
-    # Periodic side, per weight a: (k w)/(zeta^{-a} e^{aw} - 1).
-    periodic_prod = TruncatedSeries.one(trunc, k)
+    periodic_prod = closed_prod = TruncatedSeries.one(trunc, k)
     for a in A:
+        # (k w)/(zeta^{-a} e^{aw} - 1)
         numerator = TruncatedSeries.from_coeffs([0, k], trunc, k)
-        periodic_prod = periodic_prod * numerator * twisted_exp(cyc_root(k, -a), a).inverse()
-
-    # Closed-form side, per weight a:
-    #   [k w/(e^{akw}-1)] * [(e^{-akw}-1)/(zeta^{a} e^{-aw}-1)].
-    closed_prod = TruncatedSeries.one(trunc, k)
-    for a in A:
-        stripped = TruncatedSeries.from_coeffs(
-            [Fraction((a * k) ** n, math.factorial(n + 1)) for n in range(trunc + 1)],
-            trunc,
-            k,
-        )
-        factor1 = stripped.inverse().scale(Fraction(1, a))  # k/(ak * stripped)
-        numerator2 = TruncatedSeries.from_coeffs(
-            [0] + [Fraction((-a * k) ** n, math.factorial(n)) for n in range(1, trunc + 1)],
-            trunc,
-            k,
-        )
-        factor2 = numerator2 * twisted_exp(cyc_root(k, a), -a).inverse()
-        closed_prod = closed_prod * factor1 * factor2
+        periodic_prod = periodic_prod * numerator * _twisted_exp(k, -a, a, trunc).inverse()
+        closed_prod = closed_prod * _closed_factor(k, a, a, trunc)
 
     closed_stars = _star_table(_c_star_nonperiodic, m_max, k, A, 1)
     for m in range(m_max + 1):

@@ -134,13 +134,12 @@ class _PeriodicKernel:
         return total
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _periodic_kernel(n: int, k: int, residue: int) -> _PeriodicKernel:
-    """The kernel for C~_{n,k}(.;a), keyed on residue = a % k.
+    """The kernel for C~_{n,k}(.;a), keyed on residue = a % k; the latest 128 keys are kept.
 
-    The kernel depends on a only through a % k, and the cache never evicts, so
-    callers must reduce a before the call: a raw a gives the same values but
-    builds a duplicate kernel.
+    The kernel depends on a only through a % k, so callers must reduce a
+    before the call: a raw a gives the same values but takes a second key.
     """
     return _PeriodicKernel(n, k, residue)
 
@@ -151,9 +150,9 @@ def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
     return _em_constant(l, k, a % k)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _em_constant(l: int, k: int, residue: int) -> CyclotomicNumber:
-    """:func:`em_constant`, keyed on residue = a % k like :func:`_periodic_kernel`."""
+    """:func:`em_constant`, keyed and bounded like :func:`_periodic_kernel`."""
     return c_tilde(CPolySpec(l, k, residue), Fraction(0))
 
 

@@ -6,12 +6,15 @@ star table C*_{0..q,k}(A_r): ``zeta`` with each method (long periods,
 depths q = 171/172/300 and the overflow refusals among them),
 ``c-values --star/--multi`` exact and ``--numeric``, ``probe t3/t4``, and
 the ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  They also
-cover the other commands: ``sum`` closed, brute, both and ``--trace``,
-``euler-gen`` numbers and ``--poly``, ``c-values --a`` with and without
-``--x``, ``em-sum`` unit and ``--scaled`` with poly and exp presets, one
-``--text`` call per command, one usage error (exit 2), and the ``exact``,
-``powersum``, ``euler`` and ``em`` verify suites at seed 0.  No output
-depends on the wall clock.  ``tests/test_golden_cli.py`` replays the corpus
+record the ``AccelerationError`` objects of three stalls (outer axis with a
+best estimate, inner axis without one, and a finite box sum whose estimate
+goes through the corners), and cover the other commands: ``sum`` closed,
+brute, both and ``--trace``, ``euler-gen`` numbers and ``--poly``,
+``c-values --a`` with and without ``--x``, ``em-sum`` unit and ``--scaled``
+with poly and exp presets, one ``--text`` call per command, one usage error
+(exit 2), the ``exact``, ``powersum``, ``euler`` and ``em`` verify suites at
+seed 0, and the whole suite (``--suite all``) at seed 7.  No output depends
+on the wall clock.  ``tests/test_golden_cli.py`` replays the corpus
 through :func:`replay` and compares byte for byte.
 
 Run from the repository root, with ``TWISTSUM_TOL`` unset:
@@ -69,6 +72,10 @@ _ZETA = [
     "--tol 1e-6 zeta --method direct --s 3 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method direct --s 0.05 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method asym --s 0.5 --x 20 --k 2 --t 1 --weights 2 --q 3",
+    # AccelerationError: an outer-axis stall, an inner-axis stall, a stall through the corners
+    "zeta --method accel --s=-2.5 --x 1 --k 6 --t 1 --weights 1",
+    "zeta --method accel --s=-1.25 --x 1 --k 6 --t 1 --weights 1,1",
+    "zeta --method finite --s=-2.5 --x 1 --k 6 --t 1 --weights 1 --limits 10",
 ]
 
 _C_VALUES = [
@@ -139,6 +146,7 @@ _TEXT = [
 _USAGE = ["sum --weights 1"]
 
 _VERIFY_MORE = [f"verify --suite {suite} --seed 0" for suite in ("exact", "powersum", "euler", "em")]
+_VERIFY_MORE.append("verify --suite all --seed 7")
 
 CASES = [
     line.split()

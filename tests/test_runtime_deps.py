@@ -51,6 +51,7 @@ ORACLES = (
     "binomial_convolve",
     "gen_euler_numbers_by_convolution",
     "gen_euler_poly_partition_check",
+    "c_poly_gf_check",
     "c_star_multi_gf_check",
     "zero_box_check",
     "check_derivative_consistency",
@@ -104,6 +105,10 @@ def test_oracles_live_outside_the_runtime_modules():
     """))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "[]", "['twistsum.oracles']"]
+
+
+def test_verify_leaves_the_cli_unloaded():
+    assert "twistsum.cli" not in loaded_after("import twistsum.verify")
 
 
 def test_sum_and_euler_gen_load_only_their_modules():

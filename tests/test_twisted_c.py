@@ -5,7 +5,7 @@ import pytest
 from test_bernoulli_euler import sympy_mod_phi
 from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
-from twistsum.oracles import _star_table, c_star_multi_gf_check
+from twistsum.oracles import _star_table, c_poly_gf_check, c_star_multi_gf_check
 from twistsum import bernoulli_euler, exact, oracles, twisted_c
 from twistsum.twisted_c import (
     _PeriodicKernel,
@@ -21,7 +21,6 @@ from twistsum.twisted_c import (
     general_binomial,
     pochhammer,
 )
-from twistsum.verify import _genfun_case
 
 F = Fraction
 
@@ -50,7 +49,7 @@ class TestCPoly:
     def test_generating_function_identity(self):
         for k in (2, 3, 4):
             for a in range(1, k):
-                assert _genfun_case(k, a, 6) is None
+                assert c_poly_gf_check(k, a, 6)
 
     def test_pinned_values(self):
         # literal values from before the Bernoulli rows were cached
@@ -153,6 +152,15 @@ class TestPeriodicKernel:
                 assert kernel._roots == [table[residue * l % k] for l in range(k)], (k, residue)
 
 
+class TestOrderKeyedMemos:
+    def test_a_sweep_of_orders_keeps_at_most_128_keys(self):
+        for n in range(200):
+            twisted_c._periodic_kernel(n, 2, 1)
+            em_constant(n, 2, 1)
+        for memo in (twisted_c._periodic_kernel, twisted_c._em_constant):
+            assert memo.cache_info().currsize <= 128
+
+
 class TestEmConstant:
     def test_known_values(self):
         assert em_constant(1, 2, 1) == F(-1, 2)
@@ -212,6 +220,21 @@ class TestCStar:
     def test_gf_check_rejects_singular(self):
         with pytest.raises(SingularTwistError):
             c_star_multi_gf_check(3, 2, (2,))
+
+    def test_gf_checks_reject_a_perturbed_c_number(self, monkeypatch):
+        assert c_poly_gf_check(3, 1, 6)
+        assert c_star_multi_gf_check(4, 3, (1, 2))
+        true_number = twisted_c._c_number
+
+        def perturbed(m, k, a):
+            value = true_number(m, k, a)
+            return value + 1 if m == 3 else value
+
+        # oracles imports the name, so it is patched there as well
+        monkeypatch.setattr(twisted_c, "_c_number", perturbed)
+        monkeypatch.setattr(oracles, "_c_number", perturbed)
+        assert not c_poly_gf_check(3, 1, 6)
+        assert not c_star_multi_gf_check(4, 3, (1, 2))
 
 
 def _literal(table):
