@@ -38,7 +38,6 @@ import functools
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -197,23 +196,22 @@ def _as_weights(A) -> WeightVector:
 # Bernoulli numbers and polynomials
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = []
-_bernoulli_lock = threading.Lock()
-
-
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """B_0..B_n_max, the EGF inverse of (e^z - 1)/z, whose Taylor values are 1/(n+1).
 
-    The cache only grows, at least doubling, and is guarded by a lock, so
-    concurrent callers see deterministic values.
+    A fresh list, sliced from the memoized table B_0..B_{2^b - 1} with b the
+    bit length of max(n_max, 15) (:func:`_bernoulli_table`): each table is
+    built once for every order up to its length.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    with _bernoulli_lock:
-        if len(_bernoulli_cache) <= n_max:
-            trunc = max(n_max, 2 * len(_bernoulli_cache), 8)
-            _bernoulli_cache[:] = binomial_inverse([Fraction(1, n + 1) for n in range(trunc + 1)])
-        return _bernoulli_cache[: n_max + 1]
+    return list(_bernoulli_table(max(n_max, 15).bit_length())[: n_max + 1])
+
+
+@functools.lru_cache(maxsize=128)
+def _bernoulli_table(bits: int) -> tuple[Fraction, ...]:
+    """B_0..B_{2^bits - 1}, every table a power-of-two length of at least 16."""
+    return tuple(binomial_inverse([Fraction(1, n + 1) for n in range(1 << bits)]))
 
 
 def _binomial_assembly(numbers: Sequence, order: int = 1) -> PolynomialX:

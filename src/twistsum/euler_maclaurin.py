@@ -42,6 +42,8 @@ _GL_WEIGHTS = [
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 ]
 
+_EXP_ORDERS = 12  # the highest derivative order of SmoothFunction.exponential
+
 
 @dataclass(frozen=True, slots=True)
 class SmoothFunction:
@@ -83,14 +85,14 @@ class SmoothFunction:
         return SmoothFunction(tuple(evaluators))
 
     @staticmethod
-    def exponential(alpha: float, orders: int = 12) -> SmoothFunction:
+    def exponential(alpha: float) -> SmoothFunction:
         """f(x) = e^{alpha x} with derivatives alpha^l e^{alpha x}; alpha must be finite."""
         if not math.isfinite(alpha):
             raise ValueError(f"exponential rate alpha must be finite, got {alpha!r}")
         return SmoothFunction(
             tuple(
                 (lambda x, _l=l: complex(alpha**_l * math.exp(alpha * x)))
-                for l in range(orders + 1)
+                for l in range(_EXP_ORDERS + 1)
             )
         )
 

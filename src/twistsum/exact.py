@@ -42,7 +42,9 @@ integers in Z[x]/(x^k - 1), over the integer norm.
 All values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.  The only global
 state is the memoized tables of cyclotomic polynomials, of their reduction
-rows and of numeric roots of unity.
+rows, of Euler's phi and of numeric roots of unity.  Each memo keeps its
+latest 128 orders, so no sweep over k grows it without bound, and an evicted
+table is rebuilt on its next use.
 
 Every value lives in one field Q(zeta_k), the field of its twist's modulus
 k, and no computation combines two cyclotomic fields.  Rationals are
@@ -75,13 +77,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def roots_of_unity(k: int) -> tuple[complex, ...]:
     """exp(2*pi*i*n/k) for n = 0..k-1: every numeric k-th root of unity is read here."""
     return tuple(cmath.exp(2j * cmath.pi * n / k) for n in range(k))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def euler_phi(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
@@ -97,12 +99,13 @@ def euler_phi(k: int) -> int:
     return result
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _cyclotomic_coeffs(k: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_k: x^k - 1 divided by Phi_d for each proper divisor d of k.
 
     Each Phi_d is monic with integer coefficients, so every division is an
-    integer synthetic division, and it must leave no remainder.
+    integer synthetic division, and it must leave no remainder.  A divisor's
+    Phi_d evicted from the memo is rebuilt by the same recursion.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -123,7 +126,7 @@ def _cyclotomic_coeffs(k: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _reduction_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Sparse integer rows of x^j mod Phi_k for phi(k) <= j, through max(2 phi(k) - 2, k - 1).
 

@@ -132,12 +132,6 @@ def _scaled_powers(
     return [c * _term_power(shift + o, exponent) for c, o in zip(scales, offsets)]
 
 
-def _axis_roots(k: int, step: int) -> list[complex]:
-    """zeta_k^{step n} for n = 0..k-1, read from the shared root table."""
-    roots = roots_of_unity(k)
-    return [roots[step * n % k] for n in range(k)]
-
-
 # ---------------------------------------------------------------------------
 # direct blocked summation (convergent oracle)
 # ---------------------------------------------------------------------------
@@ -309,7 +303,8 @@ def _transform(spec: ZetaSpec, tol: float) -> complex:
     k = spec.twist.k
     weights = spec.A.entries
     r = len(weights)
-    tables = [_axis_roots(k, spec.twist.t * a) for a in weights]
+    roots = roots_of_unity(k)
+    tables = [[roots[spec.twist.t * a * n % k] for n in range(k)] for a in weights]
     power = -spec.s
     innermost_scales = [tables[0][n % k] for n in range(_ACCEL_TERMS)]
     innermost_offsets = range(0, weights[0] * _ACCEL_TERMS, weights[0])
@@ -349,12 +344,6 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     The prefactor (-2)^r zeta^{-t A.1} / (k^r (sigma+1)_r) makes the term
     exact for nonnegative integer sigma with q >= sigma + r; for non-integer
     sigma the truncation error decays as x grows (see ``decay_probe``).
-    """
-    return _main_term(spec, spec.x)
-
-
-def _main_term(spec: ZetaSpec, x: float) -> complex:
-    """:func:`zeta_asymptotic` at shift x.
 
     The sum is the one float evaluator ``twisted_c.c_star_s`` at order
     sigma + r, depth q and argument x - A.1.  Its star table depends on q,
@@ -368,7 +357,7 @@ def _main_term(spec: ZetaSpec, x: float) -> complex:
     k, t = spec.twist.k, spec.twist.t
     r = len(spec.A)
     weight_total = sum(spec.A.entries)
-    arg = x - weight_total
+    arg = spec.x - weight_total
     if not (arg > 0):
         raise ValueError("branch violation: need x - A.1 > 0")
     prefactor = (
@@ -409,7 +398,7 @@ def _corner_sum(
     def with_corners(total: complex) -> complex:
         for indices, shift, sign in corners:
             if indices:
-                total += sign * roots[t * shift % k] * _main_term(spec, float(spec.x + shift))
+                total += sign * roots[t * shift % k] * zeta_asymptotic(spec.with_x(spec.x + shift))
         return total / (2**r)
 
     if continuation is None:

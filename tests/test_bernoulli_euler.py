@@ -19,7 +19,7 @@ from twistsum.bernoulli_euler import (
     gen_euler_poly,
     periodic_bernoulli,
 )
-from twistsum.exact import CyclotomicNumber, PolynomialX, TruncatedSeries
+from twistsum.exact import CyclotomicNumber, PolynomialX, TruncatedSeries, binomial_inverse
 from twistsum.oracles import gen_euler_numbers_by_convolution, gen_euler_poly_partition_check
 
 F = Fraction
@@ -192,6 +192,19 @@ class TestBernoulli:
         nums = bernoulli_numbers(60)
         assert [type(b) for b in nums] == [F] * 61
         assert nums == bernoulli_by_series(60)
+
+    def test_tables_at_their_edges_equal_a_fresh_inverse(self):
+        bernoulli_euler._bernoulli_table.cache_clear()
+        for n in (0, 15, 16, 31, 32, 63, 64, 200):
+            assert bernoulli_numbers(n) == binomial_inverse([F(1, i + 1) for i in range(n + 1)]), n
+        # one table per power-of-two length 16, 32, 64, 128 and 256
+        assert bernoulli_euler._bernoulli_table.cache_info().currsize == 5
+
+    def test_returns_a_copy(self):
+        got = bernoulli_numbers(20)
+        got[3] = F(99)
+        got.append(F(0))
+        assert bernoulli_numbers(20) == recurrence_bernoulli(20)
 
     def test_recurrence_identity(self):
         nums = bernoulli_numbers(15)
@@ -388,7 +401,7 @@ class TestCornerExpansion:
 
         monkeypatch.setattr(TruncatedSeries, "__post_init__", no_series)
         monkeypatch.setattr(CyclotomicNumber, "inverse", counting)
-        monkeypatch.setattr(bernoulli_euler, "_bernoulli_cache", [])
+        bernoulli_euler._bernoulli_table.cache_clear()
         for build in (bernoulli_numbers, classical_euler_numbers):
             inverses.clear()
             build(12)

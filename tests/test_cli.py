@@ -205,6 +205,13 @@ class TestEmSumCommand:
         assert payload["type"] == "ValueError"
         assert "must be finite" in payload["error"]
 
+    def test_exp_preset_has_twelve_derivatives(self, capsys):
+        code, out, err = run_cli(
+            capsys, "em-sum", "--preset", "exp:0.3", "--m", "0", "--n", "2", "--k", "3", "--a", "1", "--q", "13"
+        )
+        assert (code, out) == (1, "")
+        assert err == '{"error": "q=13 exceeds available derivatives (12)", "type": "ValueError"}\n'
+
     @pytest.mark.parametrize("mode", [(), ("--text",)])
     def test_overflowing_result_is_a_json_error(self, capsys, mode):
         # e^{235 x} stays finite but its derivative sums overflow to inf and NaN

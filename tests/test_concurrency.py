@@ -30,7 +30,7 @@ def run_threads(worker, count=8):
 
 
 def test_bernoulli_cache_is_deterministic_under_contention():
-    be._bernoulli_cache.clear()
+    be._bernoulli_table.cache_clear()
     values = run_threads(lambda i: bernoulli_numbers(40)[40])
     assert all(v == Fraction(-261082718496449122051, 13530) for v in values)
 

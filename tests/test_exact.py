@@ -109,6 +109,19 @@ class TestCyclotomicPolynomial:
             assert all(type(c) is int for c in coeffs) and list(coeffs) == quot, k
 
 
+class TestBoundedMemos:
+    def test_a_sweep_over_k_keeps_every_memo_bounded(self):
+        # 139 orders, more than each memo keeps: k = 7 is evicted and rebuilt
+        before = (cyc_root(7, 1) * cyc_root(7, 2), exact.roots_of_unity(7))
+        for k in range(2, 141):
+            cyc_root(k, 1) * cyc_root(k, 2)
+            exact.roots_of_unity(k)
+            euler_phi(k)
+        for memo in (exact.roots_of_unity, euler_phi, _cyclotomic_coeffs, _reduction_rows):
+            assert memo.cache_info().currsize <= 128, memo.__name__
+        assert (cyc_root(7, 1) * cyc_root(7, 2), exact.roots_of_unity(7)) == before
+
+
 def division_remainder(coeffs, k):
     """The phi(k) coordinates of coeffs mod Phi_k, by long division."""
     _, rem = _poly_divmod_frac(coeffs, _cyclotomic_coeffs(k))
