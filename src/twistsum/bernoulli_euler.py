@@ -23,9 +23,9 @@ walks -- and it is inverted once.  2^r times each Taylor value of that EGF
 is an integer combination of the k-th roots of unity, so it is summed in
 integers, one accumulator per power of zeta, reduced once modulo Phi_k and
 scaled once by 2^{-r}.  The build sees the twist and the weights only
-through the pairs (a, t a mod k) of :func:`_twist_pairs`, and the star
-table of :mod:`twistsum.twisted_c` is the same build at the conjugate
-twist.  The x-dependence of every generating function above
+through the pairs (a, t a mod k) of :func:`_twist_pairs`, and the memo
+of :mod:`twistsum.twisted_c`, from which its stars and exact integer orders
+are read, is the same build at the conjugate twist.  The x-dependence of every generating function above
 is the factor e^{xz} alone, so each polynomial is the binomial assembly of
 its numbers,
 
@@ -76,8 +76,8 @@ def _twist_pairs(k: int, t: int, A) -> tuple[tuple[int, int], ...]:
 
     A twisted product prod_l (1 - zeta^{t a_l} e^{a_l z}) depends on (t, A)
     only through these pairs, and not on their order, so they are the key of
-    every build of one: the generalized Euler numbers here and the star table
-    of :mod:`twistsum.twisted_c`.
+    every build of one: the generalized Euler numbers here and, conjugated,
+    the memo of :mod:`twistsum.twisted_c`.
     """
     A = _as_weights(A)
     for a in A:
@@ -297,7 +297,7 @@ def classical_euler_numbers(n_max: int) -> list[Fraction]:
 
 # Shared by the two public builders so that a polynomial build does not run
 # (and is not timed or counted) as a nested call of gen_euler_numbers; the
-# star table of twisted_c is built on it too.
+# memo of twisted_c, at the conjugate twist, is built on it too.
 def _gen_euler_values(m_max: int, k: int, pairs) -> list[CyclotomicNumber]:
     """E_0..E_m_max: Taylor values of 2^r / prod_l (1 - zeta^{u_l} e^{a_l z}), pairs (a_l, u_l).
 

@@ -25,22 +25,28 @@ of the root zeta^{t a} (default 1); the constant sees only t a, the weight
 scaling a^{m-1} the raw weight.
 
 The multinomial stars C*_{m,k}(A_r) and the complex-order combination
-C*_{s,m,k}(x;A_r) that the zeta asymptotics need are read from one exact
-table C*_{0..m,k}(A_r), behind ``c_star_multi`` and the two evaluators of
-the combination: ``c_star_s`` in floats, which the zeta main terms call,
-and ``c_star_s_exact`` in Q(zeta_k), which the exact integer orders of
-``zeta_accelerated`` call.  ``c_star_s`` refuses an overflowing first
-power and a depth m > 171 before the table is read, so neither builds it.
-The stars' generating function is the generalized Euler one at the
-conjugate twist, so the table is the generalized Euler numbers
-E_n(k, -t; A_r), scaled (``_periodic_star_memo``): one build by
-``bernoulli_euler._gen_euler_values`` and no convolution of per-weight
-tables.  It is built once per key and kept for the latest 128 keys
-(``_periodic_stars``).  The key is m, k and the sorted pairs
-(a, t a mod k) of ``bernoulli_euler._twist_pairs``, so permuted weights
-and twists that agree on every t a mod k share one entry.
-``_periodic_stars`` is the one gate of every table read: it refuses m < 0
-and an inadmissible twist before the lookup.  The twist rule itself is
+C*_{s,m,k}(x;A_r) that the zeta asymptotics need are read from one memo of
+generalized Euler numbers, behind ``c_star_multi`` and the two evaluators
+of the combination: ``c_star_s`` in floats, which the zeta main terms call,
+and ``c_star_s_exact`` in Q(zeta_k).  ``c_star_s`` refuses an overflowing
+first power and a depth m > 171 before the memo is read, so neither builds
+an entry.  The stars' generating function is the generalized Euler one at
+the conjugate twist, so C*_j is E_{j-r}(k, -t; A_r) scaled (``_stars``).
+
+The memo (``_euler_memo``) keeps, for the latest 128 keys, one build of
+those numbers by ``bernoulli_euler._gen_euler_values`` and the float image
+of each nonzero star, which ``c_star_s`` reads with no exact arithmetic;
+a star out of the float range keeps its OverflowError message instead,
+so only ``c_star_s`` fails on it, and only where its sum reaches it.
+Its key is the order, k and the sorted conjugate pairs (a, -t a mod k) of
+``bernoulli_euler._twist_pairs``, so permuted weights and twists that agree
+on every t a mod k share one entry.  The star table is a view:
+``_periodic_stars`` scales the exact stars from the numbers when it is
+called.  The exact readers, ``c_star_s_exact`` and the integer orders of
+``zeta_accelerated``, call one reader, ``_euler_sum``, which reads the
+numbers and sums them in one integer pass, and never scale a star.
+``_euler_entry`` is the one gate of every memo read: it refuses m < 0 and
+an inadmissible twist before the lookup.  The twist rule itself is
 ``bernoulli_euler._check_twist``.
 """
 
@@ -53,18 +59,19 @@ from fractions import Fraction
 from typing import Union
 
 from .bernoulli_euler import (
+    _bernoulli_row,
     _bernoulli_value,
     _binomial_assembly,
     _check_twist,
     _gen_euler_values,
     _twist_pairs,
-    bernoulli_numbers,
     periodic_bernoulli,
 )
 from .exact import (
     CyclotomicNumber,
     PolynomialX,
     RationalLike,
+    _reduce_mod_cyclotomic,
     _root_sum,
     as_fraction,
     roots_of_unity,
@@ -116,8 +123,8 @@ class _PeriodicKernel:
 
     def __init__(self, n: int, k: int, residue: int):
         self.n, self.k = n, k
-        numbers = bernoulli_numbers(n)
-        self._bcoeffs = [float(math.comb(n, i) * numbers[n - i]) for i in range(n + 1)]
+        common, row = _bernoulli_row(n)
+        self._bcoeffs = [c / common for c in row]  # correctly rounded C(n, i) B_{n-i}
         self._roots = [roots_of_unity(k)[residue * l % k] for l in range(k)]
 
     def _bern(self, x: float) -> float:
@@ -163,20 +170,48 @@ def c_star(m: int, k: int, a: int, t: int = 1) -> CyclotomicNumber:
     return em_constant(m, k, t * a) * Fraction(a) ** (m - 1)
 
 
-def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber, ...]:
-    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] as a tuple, built once per key.
+def _euler_entry(m_max: int, k: int, A, t: int = 1) -> tuple[tuple, tuple]:
+    """The memo entry of the stars C*_{0..m_max,k}(A_r): E_0..E_{m_max-r}(k, -t; A_r) and star floats.
 
-    The gate of every star-table read: m_max and the twist are checked on
-    every call, so a bad one raises before the lookup and is never cached.
+    The gate of every memo read: m_max and the twist are checked on every
+    call, so a bad one raises before the lookup and is never cached.
     """
     if m_max < 0:
         raise ValueError("m must be nonnegative")
-    return _periodic_star_memo(m_max, k, _twist_pairs(k, t, A))
+    pairs = _twist_pairs(k, t, A)
+    return _euler_memo(m_max - len(pairs), k, tuple([(a, -u % k) for a, u in pairs]))
 
 
 @functools.lru_cache(maxsize=128)
-def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNumber, ...]:
-    """The table of :func:`_periodic_stars`; the latest 128 keys are kept.
+def _euler_memo(order: int, k: int, conjugate: tuple) -> tuple[tuple, tuple]:
+    """E_0..E_order on the conjugate pairs (a, -t a mod k), and the (j, float) of each nonzero star.
+
+    The numbers are one build of the private ``bernoulli_euler._gen_euler_values``,
+    so the public Euler entries count no memo build and never read the memo.
+    A negative order, a star depth below r, holds no number and only zero
+    stars.  The float image of each star C*_j is ``embed`` of the exact
+    star, taken once here; the latest 128 keys are kept.  A star out of the
+    float range keeps the message of the OverflowError that ``embed`` raised
+    in place of its image, so an exact reader of the entry never fails on
+    it, and ``c_star_s`` raises that error when its sum reaches the star.
+    Every build pays for the images, also one that only the exact readers
+    read; scaling and embedding the stars is about 1% of the Euler build
+    (3.6 of 472 ms at order 120, k = 7, A = (2, 3)).
+    """
+    numbers = tuple(_gen_euler_values(order, k, conjugate)) if order >= 0 else ()
+    images = []
+    for j, star in enumerate(_stars(numbers, k, len(conjugate))):
+        if star.is_zero():
+            continue
+        try:
+            images.append((j, star.embed()))
+        except OverflowError as err:
+            images.append((j, str(err)))
+    return numbers, tuple(images)
+
+
+def _stars(numbers, k: int, r: int) -> tuple[CyclotomicNumber, ...]:
+    """C*_0, C*_1, ... from E_0, E_1, ... = E_n(k, -t; A_r).
 
     The stars' generating function is the Euler one at the conjugate twist:
     sum_j C*_j z^j/j! = prod_l z/(zeta^{-t a_l} e^{a_l z/k} - 1)
@@ -184,21 +219,52 @@ def _periodic_star_memo(m_max: int, k: int, pairs: tuple) -> tuple[CyclotomicNum
 
         C*_{j,k}(A_r) = (-1)^r j! / ((j-r)! 2^r k^{j-r}) E_{j-r}(k, -t; A_r),   j >= r,
 
-    and C*_j = 0 for j < r.  The E_n are built once, by the private builder
-    ``bernoulli_euler._gen_euler_values`` on the pairs (a, -u mod k), so the
-    public Euler entries count no star build.
+    and C*_j = 0 for j < r.
     """
-    r = len(pairs)
-    conjugate = tuple((a, -u % k) for a, u in pairs)
-    numbers = _gen_euler_values(m_max - r, k, conjugate) if m_max >= r else []
-    return (CyclotomicNumber.zero(k),) * min(r, m_max + 1) + tuple(
+    return (CyclotomicNumber.zero(k),) * r + tuple(
         e * Fraction((-1) ** r * math.factorial(n + r), math.factorial(n) * 2**r * k**n)
         for n, e in enumerate(numbers)
     )
 
 
+def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber, ...]:
+    """[C*_{0,k}(A_r), ..., C*_{m_max,k}(A_r)] as a tuple, scaled from the memo's numbers.
+
+    :func:`_euler_entry` refuses m_max < 0 and a bad twist first.
+    """
+    return _stars(_euler_entry(m_max, k, A, t)[0], k, len(A))[: m_max + 1]
+
+
+def _euler_sum(
+    m_max: int, k: int, A, t: int, degree: int, y: Fraction, rotation: int, scale: Fraction
+) -> CyclotomicNumber:
+    """scale zeta^rotation sum_i (-1)^i C(degree, i) E_i y^{degree-i}, the exact readers' one pass.
+
+    The E_i are the memo's numbers of the stars C*_{0..m_max,k}(A_r), read
+    through the gate :func:`_euler_entry`; with none (m_max < r) the sum is
+    zero.  With y = p/q and L the common denominator of their coordinates,
+    the coordinate at zeta^j of each L E_i is an integer; times
+    (-1)^i C(degree, i) p^{degree-i} q^i it is added into the raw integer
+    coordinate of zeta^{rotation + j}.  The raw sum is reduced once modulo
+    Phi_k, and each coordinate is scaled once, by scale / (L q^degree).
+    """
+    numbers = _euler_entry(m_max, k, A, t)[0]
+    if not numbers:
+        return CyclotomicNumber.zero(k)
+    p, q = y.numerator, y.denominator
+    common = math.lcm(*[c.denominator for e in numbers for c in e.coeffs])
+    raw = [0] * k
+    for i, e in enumerate(numbers):
+        weight = (-1) ** i * math.comb(degree, i) * p ** (degree - i) * q**i
+        for j, c in enumerate(e.coeffs):
+            if c:
+                raw[(rotation + j) % k] += c.numerator * (common // c.denominator) * weight
+    num, den = scale.numerator, scale.denominator * common * q**degree
+    return CyclotomicNumber(k, tuple([Fraction(c * num, den) for c in _reduce_mod_cyclotomic(raw, k)]))
+
+
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
-    """C*_{m,k}(A_r), read from the star table of :func:`_periodic_stars`."""
+    """C*_{m,k}(A_r), scaled from the memo's numbers by :func:`_periodic_stars`."""
     return _periodic_stars(m, k, A)[m]
 
 
@@ -232,13 +298,18 @@ def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
 
     Principal branch for x^{s-j}; requires x > 0.  The one float evaluator
     of the star combination: the asymptotic main terms of ``zeta`` call it.
-    Two refusals come before the star table is read, so neither builds it.
+    It reads the float image of each nonzero star from the memo entry, so a
+    warm call does no exact arithmetic.  Two refusals come before the memo
+    is read, so neither builds an entry.
     When m >= r the sum's first nonzero term, at C*_r, takes the power
     x^{s-r}; it is taken first, so an order at which it overflows raises
     that OverflowError.  A depth m > 171 is refused next: the term at C*_j
     divides by j!, which leaves the float range at j = 171, and a table this
     deep holds a nonzero star at j = 171 or 172 on every key checked
-    (k <= 12, r <= 3).
+    (k <= 12, r <= 3).  The terms are then taken in order of j, each as
+    (-k)^j C(s, j), times the star, times x^{s-j}, and the first of these
+    steps to overflow raises: a star out of the float range raises the
+    OverflowError of its ``embed``.
     """
     if not (x > 0):
         raise ValueError("x must be positive (principal branch)")
@@ -248,15 +319,11 @@ def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
     if m > 171:  # 171! > sys.float_info.max
         raise OverflowError("int too large to convert to float")
     total = 0j
-    for j, star in enumerate(_periodic_stars(m, k, A, t)):
-        if star.is_zero():
-            continue
-        total += (
-            (-k) ** j
-            * general_binomial(s, j)
-            * star.embed()
-            * complex(x) ** (s - j)
-        )
+    for j, image in _euler_entry(m, k, A, t)[1]:
+        term = (-k) ** j * general_binomial(s, j)
+        if isinstance(image, str):  # the star is out of the float range
+            raise OverflowError(image)
+        total += term * image * complex(x) ** (s - j)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ArithmeticError("non-finite value in C* evaluation")
     return total
@@ -265,23 +332,17 @@ def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
 def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A, t: int = 1) -> CyclotomicNumber:
     """C*_{n,m,k}(x;A_r) exactly in Q(zeta_k), for integer order n >= m and rational x.
 
-    The one exact evaluator of the star combination: the exact integer orders
-    of ``zeta`` call it.  With x = p/q, the coordinates of each star are
-    scaled by the integer (-k)^j C(n, j) p^{n-j} q^j, their raw sum is
-    reduced once modulo Phi_k (``exact._root_sum``), and the result is
-    divided once by q^n.
+    The one exact evaluator of the star combination.  With the star scaling
+    cancelled it is, for E_i = E_i(k, -t; A_r) read from the memo,
+
+        k^r n! / (2^r (n-r)!) sum_{i <= m-r} (-1)^i C(n-r, i) E_i x^{n-r-i},
+
+    and zero when m < r: one integer pass (:func:`_euler_sum`), one
+    reduction modulo Phi_k and one scaling.  The gate refuses m < 0 and a
+    bad twist also when m < r.
     """
     if n < m:
         raise ValueError("integer order n must be at least the truncation m")
-    xq = as_fraction(x)
-    p, q = xq.numerator, xq.denominator
-    total = _root_sum(
-        k,
-        (
-            (i, c * ((-k) ** j * math.comb(n, j) * p ** (n - j) * q**j))
-            for j, star in enumerate(_periodic_stars(m, k, A, t))
-            for i, c in enumerate(star.coeffs)
-            if c
-        ),
-    )
-    return total * Fraction(1, q**n)
+    r = len(A)
+    falling = math.prod(range(n - r + 1, n + 1))  # n!/(n-r)!; unlike math.perm, lets a negative n reach the gate
+    return _euler_sum(m, k, A, t, n - r, as_fraction(x), 0, Fraction(k**r * falling, 2**r))

@@ -9,9 +9,9 @@ of the polynomial formulations is sigma = -s.  ``zeta_direct`` evaluates the
 blocked partial sum in the convergent regime; ``zeta_accelerated`` evaluates
 the analytic continuation.  At an integer order s = -m <= 0 the continuation
 is exact: it is the asymptotic main term below at q = m + r, a polynomial of
-degree m in x, evaluated in Q(zeta_k) from the memoized star table and
-embedded once, so its work depends on m, k and r and never on the period
-lcm(k, A).  Every other order takes an iterated,
+degree m in x, evaluated in Q(zeta_k) from the memoized generalized Euler
+numbers at the conjugate twist and embedded once, so its work depends on
+m, k and r and never on the period lcm(k, A).  Every other order takes an iterated,
 twist-weighted Euler transformation applied axis by axis over a fixed number
 of terms per axis (``_ACCEL_TERMS``), which returns a value only within its
 tolerance and otherwise raises with its best estimate.
@@ -23,9 +23,9 @@ tolerance and otherwise raises with its best estimate.
 
 whose truncation error decays as x grows; it is exact for integer sigma >= 0
 once q >= sigma + r (cross-checked against the generalized Euler polynomials
-in the test suite).  The star table C*_{0..q,k}(A_r) behind it does not
-depend on x; it is read from the bounded memo of ``twisted_c``, so every
-shift of one (q, k, t, A) shares one exact build.  ``finite_sum_asymptotic``
+in the test suite).  The stars C*_{0..q,k}(A_r) behind it do not depend
+on x; their float images are read from the bounded memo of ``twisted_c``,
+so every shift of one (q, k, t, A) shares one exact build.  ``finite_sum_asymptotic``
 combines these main terms over the nonempty corner subsets with an
 accelerated zeta term to approximate the exact finite box sum, and
 ``decay_probe`` measures empirical error decay against the predicted
@@ -43,8 +43,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
-from .exact import CyclotomicNumber, _root_sum, as_fraction, roots_of_unity
-from .twisted_c import c_star_s, c_star_s_exact, pochhammer
+from .exact import CyclotomicNumber, as_fraction, roots_of_unity
+from .twisted_c import _euler_sum, c_star_s, pochhammer
 
 
 class AccelerationError(RuntimeError):
@@ -240,7 +240,8 @@ def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
     """The analytic continuation Z(s, x): exact at integer orders s = -m <= 0,
     and otherwise the iterated Euler transformation.
 
-    At s = -m the value is computed exactly in Q(zeta_k) and embedded once
+    At s = -m the value is computed exactly in Q(zeta_k), by one integer
+    pass over the memoized Euler numbers of ``twisted_c``, and embedded once
     (:func:`_exact_main_term`); ``tol`` does not affect it, and its work
     depends on m, k and r only.  An order whose terms would overflow on the
     float path's box of ``_ACCEL_TERMS`` terms per axis is refused first,
@@ -270,27 +271,24 @@ def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
 
 
 def _exact_main_term(spec: ZetaSpec) -> CyclotomicNumber:
-    """Z(-m, x) exactly in Q(zeta_k): the main term of :func:`zeta_asymptotic` at q = n = m + r.
+    """Z(-m, x) exactly in Q(zeta_k): the main term of :func:`zeta_asymptotic` at q = m + r.
 
-    At sigma = m that term is exact and, with y = x - A.1, equals
+    At sigma = m that term is exact.  Its prefactor, the star scaling and
+    the binomials of C*_{m+r,m+r,k} cancel, so with y = x - A.1 and
+    E_i = E_i(k, -t; A_r) it is
 
-        (-2)^r zeta^{-t A.1} m! / (k^r n!) C*_{n,n,k}(y; A_r),
+        zeta^{-t A.1} sum_{i <= m} (-1)^{i+r} C(m, i) E_i y^{m-i},
 
-    a polynomial of degree m in x, since C*_{j,k}(A_r) = 0 for j < r.  So it
-    holds at every shift, also below A.1.  C*_{n,n,k}(y; A_r) is the one
-    exact evaluator ``twisted_c.c_star_s_exact``, which reads the bounded
-    memo of star tables; it is rotated by zeta^{-t A.1} and scaled by the
-    rational (-2)^r m! / (k^r n!).
+    a polynomial of degree m in x that holds at every shift, also below
+    A.1.  The E_i are the memo's numbers of ``twisted_c``, and the sum is
+    its one integer pass ``twisted_c._euler_sum``: one reduction modulo
+    Phi_k and one scaling.
     """
     m = -int(spec.s.real)
-    k, t = spec.twist.k, spec.twist.t
-    r = len(spec.A)
-    n = m + r
+    k, t, r = spec.twist.k, spec.twist.t, len(spec.A)
     weight_total = sum(spec.A.entries)
-    value = c_star_s_exact(n, n, k, Fraction(spec.x) - weight_total, spec.A, t)
-    scale = Fraction((-2) ** r * math.factorial(m), k**r * math.factorial(n))
-    rotation = -t * weight_total
-    return _root_sum(k, ((rotation + i, c * scale) for i, c in enumerate(value.coeffs) if c))
+    y = Fraction(spec.x) - weight_total
+    return _euler_sum(m + r, k, spec.A, t, m, y, -t * weight_total, Fraction((-1) ** r))
 
 
 def _transform(spec: ZetaSpec, tol: float) -> complex:
@@ -346,10 +344,10 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     sigma the truncation error decays as x grows (see ``decay_probe``).
 
     The sum is the one float evaluator ``twisted_c.c_star_s`` at order
-    sigma + r, depth q and argument x - A.1.  Its star table depends on q,
+    sigma + r, depth q and argument x - A.1.  Its memo entry depends on q,
     k, t and A but not on x, so every shift of one spec reads the same
-    memoized table, and ``c_star_s`` refuses an overflowing first power and
-    a depth q > 171 before that table is built.
+    float stars, and ``c_star_s`` refuses an overflowing first power and a
+    depth q > 171 before that entry is built.
     """
     sigma = spec.sigma()
     if sigma.real <= -1:
@@ -447,16 +445,16 @@ def continuation_check(m: int, c, twist: TwistSpec, A, tol: float = 1e-6) -> Con
     """Compare Z(-m, c) against E_m(c, j; A_r) exactly evaluated.
 
     Both sides are exact, and both come from one builder,
-    ``bernoulli_euler._gen_euler_values``: :func:`zeta_accelerated` reads
-    the asymptotic main term from the C* star table, which is that build at
-    the conjugate twist -t, and E_m(c, j; A_r) is the build at t evaluated
-    by Horner's rule.  So the comparison checks the reflection
+    ``bernoulli_euler._gen_euler_values``: it compares the Euler build at t,
+    E_m(c, j; A_r) evaluated by Horner's rule, with the memo's build at -t,
+    which :func:`zeta_accelerated` sums in one integer pass.  So the
+    comparison checks the reflection
 
         E_m(x, t; A_r) = (-1)^{m+r} zeta^{-t A.1} E_m(A.1 - x, -t; A_r)
 
-    and the scaling from the Euler numbers to the stars, not the builder: a
-    fault that both twists share, such as a wrong 2^{-r}, passes it.  The
-    checks independent of the builder are the star table against the
+    and that pass, not the builder: a fault that both twists share, such
+    as a wrong 2^{-r}, passes it.  The checks independent of the builder
+    are the star table, scaled from the memo's numbers, against the
     convolution of per-weight Bernoulli-value sums (``oracles._star_table``,
     in ``verify``'s cvalues suite) and the closed power sum against the
     brute-force one.  The continuation convention validated by the

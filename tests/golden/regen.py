@@ -38,7 +38,7 @@ CORPUS = Path(__file__).with_name("cli.jsonl")
 USAGE_COLUMNS = "80"
 
 _ZETA = [
-    # integer orders of the continuation: exact, read from the star table
+    # integer orders of the continuation: exact, one integer pass over the Euler memo
     "zeta --method accel --s=-2 --x 10 --k 2 --t 1 --weights 1,3,5,7",
     "zeta --method accel --s=-8 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method accel --s=-2 --x 1 --k 2 --t 1 --weights 101,103,107",
@@ -49,6 +49,7 @@ _ZETA = [
     "zeta --method accel --s=-40 --x 1 --k 7 --t 1 --weights 2,3",
     "zeta --method accel --s=-120 --x 1 --k 7 --t 1 --weights 2,3",
     "zeta --method accel --s=-400 --x 1e10 --k 2 --t 1 --weights 1",
+    "zeta --method accel --s=-12 --x 0.5 --k 9 --t 4 --weights 1,2,4",
     # the float transformation
     "zeta --method accel --s 2 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method accel --s 1.5 --x 1 --k 3 --t 1 --weights 1,2",
@@ -60,11 +61,15 @@ _ZETA = [
     "zeta --method asym --s=-0.5,0.5 --x 30 --k 4 --t 1 --weights 1,3 --q 6",
     "zeta --method asym --s=-1 --x 100 --k 7 --t 1 --weights 2,3 --q 60",
     "zeta --method asym --s 0.5 --x 50 --k 5 --t 2 --weights 1,1,3 --q 9",
+    "zeta --method asym --s 0.3 --x 30.5 --k 5 --t 2 --weights 1,2,3 --q 20",
     "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 171",
     "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 172",
     "zeta --method asym --s 0.5 --x 2000 --k 2 --t 1 --weights 1 --q 300",
     "zeta --method asym --s=-320 --x 1000 --k 3 --t 1 --weights 1,2",
     "zeta --method asym --s 0.5 --x 2 --k 3 --t 1 --weights 1,2",
+    # stars out of float range at depth 171: a power overflows first, then a star does
+    "zeta --method asym --s 0.5 --x 101.001 --k 2 --t 1 --weights 101 --q 171",
+    "zeta --method asym --s 0.5 --x 101.01 --k 2 --t 1 --weights 101 --q 171",
     # the finite box sum and the direct sum
     "zeta --method finite --s=-2 --x 0 --k 2 --t 1 --weights 1 --q 2 --limits 20",
     "zeta --method finite --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2 --limits 8,8",
@@ -91,6 +96,8 @@ _C_VALUES = [
     "c-values --n 7 --k 5 --a 4 --star",
     "c-values --n 4 --k 2 --multi 2",
     "c-values --n -1 --k 3 --multi 1",
+    "c-values --n 120 --k 2 --multi 101",
+    "c-values --n 120 --k 2 --multi 101 --numeric",
 ]
 
 _PROBE = [

@@ -61,7 +61,7 @@ def test_bernoulli_rows_of_mixed_orders_agree():
 def test_star_tables_of_mixed_keys_and_orders_agree():
     keys = [(3, 2, (1,), 1), (12, 5, (1, 3), 2), (7, 4, (3, 1, 1), 3), (10, 12, (5, 7), 1)]
     expected = [_star_table(tc.c_star, *key) for key in keys]
-    tc._periodic_star_memo.cache_clear()
+    tc._euler_memo.cache_clear()
     # each thread asks for the keys starting from a different one
     values = run_threads(lambda i: [tc._periodic_stars(*keys[(i + j) % 4]) for j in range(4)])
     for i, got in enumerate(values):

@@ -1,11 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from test_bernoulli_euler import sympy_mod_phi
-from twistsum.bernoulli_euler import SingularTwistError, _bernoulli_value
+from twistsum.bernoulli_euler import (
+    SingularTwistError,
+    TwistSpec,
+    _bernoulli_value,
+    bernoulli_numbers,
+    gen_euler_numbers,
+    gen_euler_poly,
+)
 from twistsum.exact import CyclotomicNumber, PolynomialX, cyc_root, roots_of_unity
 from twistsum.oracles import _star_table, c_poly_gf_check, c_star_multi_gf_check
+from twistsum.powersum import SumSpec, brute_sum, closed_sum
 from twistsum import bernoulli_euler, exact, oracles, twisted_c
 from twistsum.twisted_c import (
     _PeriodicKernel,
@@ -151,6 +160,13 @@ class TestPeriodicKernel:
                 kernel = _PeriodicKernel(3, k, residue)
                 assert kernel._roots == [table[residue * l % k] for l in range(k)], (k, residue)
 
+    def test_coefficients_are_the_rounded_bernoulli_terms(self):
+        # c / L of the integer row is correctly rounded, as is the Fraction C(n, i) B_{n-i}
+        for n in range(200):
+            numbers = bernoulli_numbers(n)
+            want = [float(math.comb(n, i) * numbers[n - i]) for i in range(n + 1)]
+            assert _PeriodicKernel(n, 3, 1)._bcoeffs == want, n
+
 
 class TestOrderKeyedMemos:
     def test_a_sweep_of_orders_keeps_at_most_128_keys(self):
@@ -243,7 +259,7 @@ def _literal(table):
 
 class TestStarMemo:
     def setup_method(self):
-        twisted_c._periodic_star_memo.cache_clear()
+        twisted_c._euler_memo.cache_clear()
 
     def test_memo_equals_the_uncached_table(self):
         for k in range(2, 13):
@@ -273,22 +289,80 @@ class TestStarMemo:
         assert not hasattr(exact, "binomial_convolve")
 
     def test_keys_with_the_same_pairs_share_one_entry(self):
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         # k = 4, A = (2, 2): t a mod k is 2 at t = 1 and at t = 3
-        assert _periodic_stars(5, 4, (2, 2), 1) is _periodic_stars(5, 4, (2, 2), 3)
-        assert _periodic_stars(5, 4, (1, 3)) is _periodic_stars(5, 4, (3, 1))
-        assert memo.cache_info().misses == 2
-        assert memo.cache_info().hits == 2
+        assert _periodic_stars(5, 4, (2, 2), 1) == _periodic_stars(5, 4, (2, 2), 3)
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+        assert _periodic_stars(5, 4, (1, 3)) == _periodic_stars(5, 4, (3, 1))
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 2)
+
+    def test_numbers_are_the_euler_numbers_at_the_conjugate_twist(self):
+        count = 0
+        for k in (3, 5, 7, 12):
+            for t in range(2, k):
+                weights = [a for a in range(1, 2 * k) if t * a % k]
+                for A in [weights[:1], weights[:2], weights[:2] + weights[:1], weights[1:4] + weights[1:2]]:
+                    for m in (0, 3, 9):
+                        numbers = twisted_c._euler_entry(m + len(A), k, A, t)[0]
+                        assert isinstance(numbers, tuple)
+                        want = gen_euler_numbers(m, TwistSpec(k, -t), A)
+                        assert _literal(numbers) == _literal(want), (m, k, t, A)
+                        count += 1
+        assert count > 200
+
+    def test_the_public_euler_entries_and_closed_sum_never_read_the_memo(self, monkeypatch):
+        def no_memo(*args):
+            raise AssertionError("the memo was read")
+
+        monkeypatch.setattr(twisted_c, "_euler_memo", no_memo)
+        spec = SumSpec.of((1, 2, 2), (3, 2, 4), F(2, 3), 5, 5, 2)
+        assert closed_sum(spec) == brute_sum(spec)
+        assert len(gen_euler_numbers(4, TwistSpec(5, 2), (1, 2, 2))) == 5
+        assert gen_euler_poly(4, TwistSpec(5, 2), (1, 2, 2)).degree() == 4
+
+    def test_a_warm_float_read_does_no_exact_arithmetic(self, monkeypatch):
+        value = c_star_s(0.3 + 1j, 20, 5, 24.5, (1, 2, 3), 2)
+
+        def exact_work(*args):
+            raise AssertionError("exact arithmetic on a warm read")
+
+        for name in ("embed", "is_zero", "__mul__", "__rmul__"):
+            monkeypatch.setattr(CyclotomicNumber, name, exact_work)
+        monkeypatch.setattr(twisted_c, "_stars", exact_work)
+        assert c_star_s(0.3 + 1j, 20, 5, 24.5, (1, 2, 3), 2) == value
+
+    def test_exact_readers_read_stars_out_of_the_float_range(self):
+        # k = 2, A = (101,): C*_j leaves the float range at j = 110 (C*_120 ~ 10^342)
+        stars = _periodic_stars(120, 2, (101,))
+        with pytest.raises(OverflowError):
+            stars[120].embed()
+        assert c_star_multi(120, 2, (101,)) == stars[120]
+        for n, m, x in ((120, 120, F(1)), (125, 118, F(-3, 7))):
+            want = CyclotomicNumber.zero(2)
+            for j, star in enumerate(stars[: m + 1]):
+                want = want + star * ((-2) ** j * math.comb(n, j) * x ** (n - j))
+            assert c_star_s_exact(n, m, 2, x, (101,)) == want
+
+    def test_a_star_out_of_the_float_range_raises_where_the_sum_reaches_it(self):
+        # at x = 1e-3 the power x^{s-j} overflows at j = 103, before the first
+        # overflowing star (j = 110); at x = 1e-2 the star overflows first
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            c_star_s(0.5, 171, 2, 1e-3, (101,))
+        with pytest.raises(OverflowError, match="integer division result too large for a float"):
+            c_star_s(0.5, 171, 2, 1e-2, (101,))
+        with pytest.raises(OverflowError, match="integer division result too large for a float"):
+            c_star_s(0.5, 171, 2, 1e-2, (101,))  # warm: the same error from the memo entry
+        assert twisted_c._euler_memo.cache_info().misses == 1
 
     def test_every_periodic_star_caller_reads_the_memo(self):
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         c_star_multi(4, 3, (1, 2))
         c_star_s(2.5, 4, 3, 9.0, (2, 1))
         c_star_s_exact(5, 4, 3, F(9), (1, 2))
         assert memo.cache_info().misses == 1
 
     def test_the_bound_evicts_the_oldest_key(self):
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         first = _periodic_stars(1, 2, (1,))
         for a in range(3, 2 * 129, 2):  # 128 more distinct weights
             _periodic_stars(1, 2, (a,))
@@ -298,7 +372,7 @@ class TestStarMemo:
         assert memo.cache_info().misses == 130
 
     def test_inadmissible_twist_raises_on_every_call(self):
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         _periodic_stars(3, 4, (1, 2), 1)
         for _ in range(2):
             with pytest.raises(SingularTwistError):

@@ -9,7 +9,7 @@ import pytest
 
 from twistsum import bernoulli_euler as be
 from twistsum.bernoulli_euler import TwistSpec, gen_euler_poly
-from twistsum import twisted_c
+from twistsum import exact, twisted_c
 from twistsum import zeta as zeta_mod
 from twistsum.exact import roots_of_unity
 from twistsum.powersum import SumSpec, closed_sum
@@ -556,6 +556,27 @@ class TestExactIntegerOrders:
                 count += 1
         assert count > 1300
 
+    def test_a_warm_order_takes_one_reduction_and_no_star_evaluator(self, monkeypatch):
+        spec = spec_of(-5, 0.75, 3, 1, (1, 2))
+        value = zeta_mod._exact_main_term(spec)
+        calls = []
+        reduce = exact._reduce_mod_cyclotomic
+
+        def counting(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        def no_star_evaluator(*args, **kwargs):
+            raise AssertionError("the exact path went through c_star_s_exact")
+
+        # the reduction is counted under both names a runtime module may call it by
+        monkeypatch.setattr(exact, "_reduce_mod_cyclotomic", counting)
+        monkeypatch.setattr(twisted_c, "_reduce_mod_cyclotomic", counting, raising=False)
+        monkeypatch.setattr(twisted_c, "c_star_s_exact", no_star_evaluator)
+        monkeypatch.setattr(zeta_mod, "c_star_s_exact", no_star_evaluator, raising=False)
+        assert zeta_mod._exact_main_term(spec) == value
+        assert len(calls) == 1
+
     def test_known_wrong_answers_are_exact(self):
         assert repr(zeta_accelerated(spec_of(-8, 1, 2, 1, (1,)))) == "0j"
         assert repr(zeta_accelerated(spec_of(-120, 1, 2, 1, (1,)))) == "0j"
@@ -620,7 +641,7 @@ class TestExactIntegerOrders:
 
         monkeypatch.setattr(zeta_mod, "_ACCEL_TERMS", terms)
         monkeypatch.setattr(be, "bernoulli_numbers", no_work)
-        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_work)
+        monkeypatch.setattr(twisted_c, "_euler_memo", no_work)
         spec = spec_of(s, x, 2, 1, A)
         with pytest.raises(OverflowError, match="complex exponentiation"):
             zeta_accelerated(spec)
@@ -642,7 +663,7 @@ class TestExactIntegerOrders:
         want = [gen_euler_poly(m, twist, A).eval_exact(F(y)).embed() for y in (x, x + 1 / 2)]
         monkeypatch.setattr(zeta_mod, "gen_euler_poly", no_work)
         monkeypatch.setattr(be.WeightVector, "dot_counts", no_work)
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         memo.cache_clear()
         for _ in range(2):
             assert [zeta_accelerated(spec_of(-m, y, 2, 1, A)) for y in (x, x + 1 / 2)] == want
@@ -728,7 +749,7 @@ class TestAsymptotic:
         def no_build(*args):
             raise AssertionError("star table built")
 
-        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
+        monkeypatch.setattr(twisted_c, "_euler_memo", no_build)
         with pytest.raises(OverflowError, match="complex exponentiation"):
             evaluate(spec_of(s, x, 3, 1, A))
 
@@ -745,7 +766,7 @@ class TestAsymptotic:
         def no_build(*args):
             raise AssertionError("star table built")
 
-        monkeypatch.setattr(twisted_c, "_periodic_star_memo", no_build)
+        monkeypatch.setattr(twisted_c, "_euler_memo", no_build)
         with pytest.raises(OverflowError, match="int too large to convert to float"):
             evaluate(spec_of(-0.5, 1.5, 3, 1, (1,), q=q))
 
@@ -802,7 +823,7 @@ class TestFiniteSum:
                 root = zeta_mod.roots_of_unity(5)[spec.twist.t * shift % 5]
                 reference += sign * root * zeta_asymptotic(spec.with_x(spec.x + shift))
         reference /= 4
-        memo = twisted_c._periodic_star_memo
+        memo = twisted_c._euler_memo
         memo.cache_clear()
         assert finite_sum_asymptotic(spec, N) == reference
         assert memo.cache_info().misses == 1  # one build on a cold memo
