@@ -192,7 +192,7 @@ def _zeta_spec(args) -> ZetaSpec:
 
 
 def _cmd_zeta(args) -> dict:
-    from .zeta import finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
+    from .zeta import _direct_value, finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
 
     spec = _zeta_spec(args)
     if args.method == "direct":
@@ -206,36 +206,6 @@ def _cmd_zeta(args) -> dict:
             raise ValueError("--limits is required for --method finite")
         value = finite_sum_asymptotic(spec, args.limits, tol=args.tol)
     return {"method": args.method, "value": _ser_complex(value)}
-
-
-def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
-    """The blocked partial sum S(T) over T = ``terms`` blocks per axis, if it meets ``tol``.
-
-    The truncation error falls off like T^{-sigma}, sigma = Re s, so with
-    T' = ceil(T/2) blocks the remaining tail is estimated as
-
-        tail(T) = |S(T) - S(T')| / ((T/T')^sigma - 1).
-
-    S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise an
-    :class:`AccelerationError` carries S(T) and tail(T).
-    """
-    from .zeta import AccelerationError, zeta_direct
-
-    if terms < 2:
-        raise ValueError("--terms must be at least 2 for --method direct (the tail estimate halves it)")
-    value = zeta_direct(spec, terms)
-    half = -(-terms // 2)
-    rate = spec.s.real * math.log(terms / half)  # (T/T')^sigma = e^rate, which may overflow
-    drop = -math.expm1(-rate)  # 0 when rate underflows, at a subnormal sigma: no estimate
-    tail = abs(value - zeta_direct(spec, half)) * math.exp(-rate) / drop if drop else math.inf
-    if tail > tol * (1 + abs(value)):
-        raise AccelerationError(
-            f"direct sum over {terms} blocks per axis misses --tol {tol:g}: estimated tail "
-            f"{tail:.3g} at Re s = {spec.s.real:g}; raise --terms or use --method accel",
-            value,
-            tail,
-        )
-    return value
 
 
 def _cmd_probe(args) -> dict:

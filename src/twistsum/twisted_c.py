@@ -42,7 +42,8 @@ Its key is the order, k and the sorted conjugate pairs (a, -t a mod k) of
 ``bernoulli_euler._twist_pairs``, so permuted weights and twists that agree
 on every t a mod k share one entry.  The star table is a view:
 ``_periodic_stars`` scales the exact stars from the numbers when it is
-called.  The exact readers, ``c_star_s_exact`` and the integer orders of
+called, and ``c_star_multi`` scales only the one number its star needs.
+The exact readers, ``c_star_s_exact`` and the integer orders of
 ``zeta_accelerated``, call one reader, ``_euler_sum``, which reads the
 numbers and sums them in one integer pass, and never scale a star.
 ``_euler_entry`` is the one gate of every memo read: it refuses m < 0 and
@@ -221,10 +222,12 @@ def _stars(numbers, k: int, r: int) -> tuple[CyclotomicNumber, ...]:
 
     and C*_j = 0 for j < r.
     """
-    return (CyclotomicNumber.zero(k),) * r + tuple(
-        e * Fraction((-1) ** r * math.factorial(n + r), math.factorial(n) * 2**r * k**n)
-        for n, e in enumerate(numbers)
-    )
+    return (CyclotomicNumber.zero(k),) * r + tuple(e * _star_scale(n, k, r) for n, e in enumerate(numbers))
+
+
+def _star_scale(n: int, k: int, r: int) -> Fraction:
+    """(-1)^r (n+r)! / (n! 2^r k^n), the factor of E_n in the star C*_{n+r} (:func:`_stars`)."""
+    return Fraction((-1) ** r * math.factorial(n + r), math.factorial(n) * 2**r * k**n)
 
 
 def _periodic_stars(m_max: int, k: int, A, t: int = 1) -> tuple[CyclotomicNumber, ...]:
@@ -264,8 +267,15 @@ def _euler_sum(
 
 
 def c_star_multi(m: int, k: int, A) -> CyclotomicNumber:
-    """C*_{m,k}(A_r), scaled from the memo's numbers by :func:`_periodic_stars`."""
-    return _periodic_stars(m, k, A)[m]
+    """C*_{m,k}(A_r): the memo's last number E_{m-r}, scaled as in :func:`_stars`; zero when m < r.
+
+    :func:`_euler_entry` refuses m < 0 and a bad twist first.
+    """
+    numbers = _euler_entry(m, k, A)[0]
+    if not numbers:
+        return CyclotomicNumber.zero(k)
+    r = len(A)
+    return numbers[-1] * _star_scale(m - r, k, r)
 
 
 # ---------------------------------------------------------------------------

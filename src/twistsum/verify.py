@@ -549,7 +549,7 @@ def _blocked_tail_bound(spec: zt.ZetaSpec, terms: int) -> float:
     n >= k T.  The root sums over n = k T..n' have modulus at most 1 for
     k <= 3, and the powers decrease from (a k T + x)^{-s}, so by summation by
     parts the tail is at most that power, times 2^r = 2.  Like the estimate
-    of :func:`twistsum.cli._direct_value` it falls as T^{-sigma}: at k = 2,
+    of :func:`twistsum.zeta._direct_value` it falls as T^{-sigma}: at k = 2,
     a = x = 1 it is twice the tail that estimate reports.
     """
     (a,) = spec.A.entries
@@ -621,11 +621,10 @@ def suite_zeta(seed: int) -> SuiteReport:
     rep.check("blocked-tail estimate honored when doubling terms", blocked_tail)
 
     def direct_refusal() -> Optional[str]:
-        from .cli import _direct_value  # cli imports this module lazily; keep the CLI unloaded
         for s in (0.05, 0.3):
             spec = zt.ZetaSpec.of(s, 1.0, 2, 1, (1,))
             try:
-                value = _direct_value(spec, 400, 1e-10)
+                value = zt._direct_value(spec, 400, 1e-10)
             except zt.AccelerationError as exc:
                 error = abs(exc.best_estimate - zt.zeta_accelerated(spec))
                 if not error / 2 <= exc.achieved_tol <= 2 * error:
@@ -653,6 +652,35 @@ def suite_zeta(seed: int) -> SuiteReport:
         return None
 
     rep.check("asymptotic main term exact at integer orders (q = sigma + r)", integer_exactness)
+
+    def default_depth() -> Optional[str]:
+        # with q unset, asym and finite take the exact value at s = -m; the
+        # anchors, the public Euler polynomial and the brute box sum, read no memo
+        for m, k, t, A, x in [
+            (2, 3, 1, (1, 2), 10.5),
+            (2, 3, 1, (1, 2), 0.5),  # x < A.1
+            (0, 2, 1, (1,), 0.0),
+            (3, 5, 2, (1, 2, 3), 2.25),
+            (5, 4, 3, (1, 3), 1.75),
+        ]:
+            main = zt.zeta_asymptotic(zt.ZetaSpec.of(-m, x, k, t, A))
+            exact = be.gen_euler_poly(m, TwistSpec(k, t), A).eval_exact(Fraction(x)).embed()
+            if main != exact:
+                return f"asym without q at s=-{m}, x={x}, k={k}, t={t}, A={A}: {main} vs {exact}"
+        for m, k, t, A, x, N in [
+            (2, 3, 1, (1, 2), 0.5, (3, 4)),
+            (2, 3, 1, (1, 2), 0.5, (0, 0)),
+            (3, 3, 1, (1, 2), 1.0, (5, 4)),
+            (1, 5, 2, (1, 2, 3), 0.25, (2, 3, 1)),
+            (4, 2, 1, (1,), 0.0, (9,)),
+        ]:
+            approx = zt.finite_sum_asymptotic(zt.ZetaSpec.of(-m, x, k, t, A), N)
+            exact = ps.brute_sum(ps.SumSpec.of(A, N, Fraction(x), m, k, t)).embed()
+            if abs(approx - exact) > 1e-12 * abs(exact):
+                return f"finite without q at s=-{m}, x={x}, k={k}, A={A}, N={N}: {approx} vs {exact}"
+        return None
+
+    rep.check("asym and finite exact at integer orders without q (Euler polynomial; brute sum, 1e-12)", default_depth)
 
     def shift_probe() -> Optional[str]:
         for r, k, q in itertools.product((1, 2), (2, 3), (1, 2)):

@@ -6,12 +6,14 @@ For weights A_r, twist root zeta_k^t and shift x >= 0,
 
 ``s`` in :class:`ZetaSpec` is always this decay order; the summand exponent
 of the polynomial formulations is sigma = -s.  ``zeta_direct`` evaluates the
-blocked partial sum in the convergent regime; ``zeta_accelerated`` evaluates
-the analytic continuation.  At an integer order s = -m <= 0 the continuation
-is exact: it is the asymptotic main term below at q = m + r, a polynomial of
-degree m in x, evaluated in Q(zeta_k) from the memoized generalized Euler
-numbers at the conjugate twist and embedded once, so its work depends on
-m, k and r and never on the period lcm(k, A).  Every other order takes an iterated,
+blocked partial sum in the convergent regime, and ``_direct_value``, the
+contract of ``zeta --method direct``, returns it only when its estimated
+tail meets the tolerance; ``zeta_accelerated`` evaluates the analytic
+continuation.  At an integer order s = -m <= 0 the continuation is exact: it
+is the asymptotic main term below at q = m + r, a polynomial of degree m in
+x, evaluated in Q(zeta_k) from the memoized generalized Euler numbers at the
+conjugate twist and embedded once, so its work depends on m, k and r and
+never on the period lcm(k, A).  Every other order takes an iterated,
 twist-weighted Euler transformation applied axis by axis over a fixed number
 of terms per axis (``_ACCEL_TERMS``), which returns a value only within its
 tolerance and otherwise raises with its best estimate.
@@ -22,15 +24,17 @@ tolerance and otherwise raises with its best estimate.
                       * C*_{sigma+r, q, k}(x - A.1; A_r)
 
 whose truncation error decays as x grows; it is exact for integer sigma >= 0
-once q >= sigma + r (cross-checked against the generalized Euler polynomials
-in the test suite).  The stars C*_{0..q,k}(A_r) behind it do not depend
-on x; their float images are read from the bounded memo of ``twisted_c``,
-so every shift of one (q, k, t, A) shares one exact build.  ``finite_sum_asymptotic``
-combines these main terms over the nonempty corner subsets with an
-accelerated zeta term to approximate the exact finite box sum, and
-``decay_probe`` measures empirical error decay against the predicted
-exponent Re(sigma) - q + 2; its limits probe evaluates the continuation
-once, since Z(s, x) does not depend on the box.
+once q >= sigma + r.  With ``q`` unset, an integer order takes that exact
+value, by the one path of ``zeta_accelerated`` (``_exact_integer_order``), at
+every shift; an explicit ``q`` sums the float stars C*_{0..q,k}(A_r) to that
+depth.  Those stars do not depend on x; their float images are read from the
+bounded memo of ``twisted_c``, so every shift of one (q, k, t, A) shares one
+exact build.  ``finite_sum_asymptotic`` combines these main terms over the
+nonempty corner subsets with an accelerated zeta term to approximate the
+exact finite box sum, which it returns exactly embedded at an integer order
+with ``q`` unset, and ``decay_probe`` measures empirical error decay against
+the predicted exponent Re(sigma) - q + 2; its limits probe evaluates the
+continuation once, since Z(s, x) does not depend on the box.
 """
 
 from __future__ import annotations
@@ -180,6 +184,36 @@ def zeta_direct(spec: ZetaSpec, terms_per_axis: int = 400) -> complex:
     return (2**r) * _dot_sum(spec, (limit - 1,) * r)
 
 
+def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
+    """The blocked partial sum S(T) over T = ``terms`` blocks per axis, if it meets ``tol``.
+
+    The direct contract of ``zeta --method direct``, which the verify suite
+    checks.  The truncation error falls off like T^{-sigma}, sigma = Re s,
+    so with T' = ceil(T/2) blocks the remaining tail is estimated as
+
+        tail(T) = |S(T) - S(T')| / ((T/T')^sigma - 1).
+
+    S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise an
+    :class:`AccelerationError` carries S(T) and tail(T).  ``terms`` < 2 is
+    refused before any sum.
+    """
+    if terms < 2:
+        raise ValueError("--terms must be at least 2 for --method direct (the tail estimate halves it)")
+    value = zeta_direct(spec, terms)
+    half = -(-terms // 2)
+    rate = spec.s.real * math.log(terms / half)  # (T/T')^sigma = e^rate, which may overflow
+    drop = -math.expm1(-rate)  # 0 when rate underflows, at a subnormal sigma: no estimate
+    tail = abs(value - zeta_direct(spec, half)) * math.exp(-rate) / drop if drop else math.inf
+    if tail > tol * (1 + abs(value)):
+        raise AccelerationError(
+            f"direct sum over {terms} blocks per axis misses --tol {tol:g}: estimated tail "
+            f"{tail:.3g} at Re s = {spec.s.real:g}; raise --terms or use --method accel",
+            value,
+            tail,
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # iterated twist-weighted Euler transformation
 # ---------------------------------------------------------------------------
@@ -262,12 +296,25 @@ def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
     Raises ValueError before any work unless ``tol`` is finite and positive.
     """
     _require_tol(tol)
-    if spec.s.imag == 0 and spec.s.real <= 0 and spec.s.real.is_integer():
-        # the float path's last term, at the largest base x + sum_l a_l (T - 1)
-        # of its box, raises its OverflowError here
-        _term_power(spec.x + sum(a * (_ACCEL_TERMS - 1) for a in spec.A.entries), -spec.s)
-        return _exact_main_term(spec).embed()
-    return _transform(spec, tol)
+    exact = _exact_integer_order(spec)
+    return _transform(spec, tol) if exact is None else exact
+
+
+def _exact_integer_order(spec: ZetaSpec) -> Optional[complex]:
+    """Z(-m, x) at an integer order s = -m <= 0, embedded once; None at every other order.
+
+    The one integer-order path of the continuation and the main terms:
+    :func:`zeta_accelerated` and, with ``q`` unset, :func:`zeta_asymptotic`
+    (and so every term of :func:`finite_sum_asymptotic`) take it.  An order
+    whose terms would overflow on the float path's box of ``_ACCEL_TERMS``
+    terms per axis is refused first, with the complex power's OverflowError.
+    """
+    if not (spec.s.imag == 0 and spec.s.real <= 0 and spec.s.real.is_integer()):
+        return None
+    # the float path's last term, at the largest base x + sum_l a_l (T - 1)
+    # of its box, raises its OverflowError here
+    _term_power(spec.x + sum(a * (_ACCEL_TERMS - 1) for a in spec.A.entries), -spec.s)
+    return _exact_main_term(spec).embed()
 
 
 def _exact_main_term(spec: ZetaSpec) -> CyclotomicNumber:
@@ -343,12 +390,23 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     exact for nonnegative integer sigma with q >= sigma + r; for non-integer
     sigma the truncation error decays as x grows (see ``decay_probe``).
 
-    The sum is the one float evaluator ``twisted_c.c_star_s`` at order
-    sigma + r, depth q and argument x - A.1.  Its memo entry depends on q,
-    k, t and A but not on x, so every shift of one spec reads the same
-    float stars, and ``c_star_s`` refuses an overflowing first power and a
-    depth q > 171 before that entry is built.
+    With ``q`` unset, an integer order s = -m <= 0 returns the exact value
+    of :func:`zeta_accelerated`, the term at q = m + r
+    (:func:`_exact_integer_order`).  It is a polynomial in x, so it holds at
+    every shift, also at x <= A.1, and an order whose float terms would
+    overflow is refused as there.  An explicit ``q`` keeps the float sum at
+    that depth, whose truncation ``decay_probe`` measures.
+
+    The float sum is the one evaluator ``twisted_c.c_star_s`` at order
+    sigma + r, depth ``effective_q()`` and argument x - A.1 > 0.  Its memo
+    entry depends on q, k, t and A but not on x, so every shift of one spec
+    reads the same float stars, and ``c_star_s`` refuses an overflowing
+    first power and a depth q > 171 before that entry is built.
     """
+    if spec.q is None:
+        exact = _exact_integer_order(spec)
+        if exact is not None:
+            return exact
     sigma = spec.sigma()
     if sigma.real <= -1:
         raise ValueError("need Re(sigma) > -1 for the asymptotic main term")
@@ -373,7 +431,10 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     contributes (-1)^{|S|} zeta^{t A_S.(N_S+1)} times the asymptotic main
     term at shift x + A_S.(N_S+1); the empty subset contributes the
     accelerated continuation Z(s, x) to tolerance ``tol``.  Everything is
-    scaled by 1/2^r.  When the continuation stalls, its best estimate goes
+    scaled by 1/2^r.  With ``q`` unset, an integer order s = -m <= 0 takes
+    the exact value at every corner and in the continuation, so the result
+    is the exact box sum up to the rounding of that combination, at every
+    x >= 0 and box.  When the continuation stalls, its best estimate goes
     through the same corners into the raised AccelerationError.
     """
     return _corner_sum(spec, N, tol)[0]

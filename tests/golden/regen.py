@@ -74,6 +74,10 @@ _ZETA = [
     "zeta --method finite --s=-2 --x 0 --k 2 --t 1 --weights 1 --q 2 --limits 20",
     "zeta --method finite --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2 --limits 8,8",
     "zeta --method finite --s=-3 --x 1 --k 3 --t 1 --weights 1,2 --limits 5,4",
+    # integer orders with no --q: the main terms are exact, also below the shift A.1
+    "zeta --method asym --s=-2 --x 10.5 --k 3 --t 1 --weights 1,2",
+    "zeta --method finite --s=-2 --x 0.5 --k 3 --t 1 --weights 1,2 --limits 3,4",
+    "zeta --method finite --s=-2 --x 0.5 --k 3 --t 1 --weights 1,2 --limits 0,0",
     "--tol 1e-6 zeta --method direct --s 3 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method direct --s 0.05 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method asym --s 0.5 --x 20 --k 2 --t 1 --weights 2 --q 3",

@@ -354,6 +354,25 @@ class TestStarMemo:
             c_star_s(0.5, 171, 2, 1e-2, (101,))  # warm: the same error from the memo entry
         assert twisted_c._euler_memo.cache_info().misses == 1
 
+    def test_c_star_multi_is_the_last_star_of_the_table(self):
+        count = 0
+        for k, A in ((2, (1,)), (3, (1, 2)), (4, (1, 1, 3)), (7, (2, 3, 5)), (12, (1, 5, 7, 11))):
+            for m in range(0, 10):  # m < r included: those stars are zero
+                assert _literal([c_star_multi(m, k, A)]) == _literal([_periodic_stars(m, k, A)[m]]), (m, k, A)
+                count += 1
+        assert c_star_multi(2, 3, (1, 2, 4)).is_zero()
+        assert count == 50
+
+    def test_a_warm_c_star_multi_scales_one_number(self, monkeypatch):
+        value = c_star_multi(120, 7, (2, 3))
+
+        def every_star(*args):
+            raise AssertionError("every star was scaled")
+
+        monkeypatch.setattr(twisted_c, "_stars", every_star)
+        assert c_star_multi(120, 7, (2, 3)) == value
+        assert twisted_c._euler_memo.cache_info().misses == 1
+
     def test_every_periodic_star_caller_reads_the_memo(self):
         memo = twisted_c._euler_memo
         c_star_multi(4, 3, (1, 2))

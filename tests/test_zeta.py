@@ -77,6 +77,40 @@ class TestDirect:
             zeta_direct(spec_of(1, 0, 2, 1, (1,)), 10)
 
 
+class TestDirectContract:
+    """``zeta._direct_value``: the blocked sum meets its tolerance or raises with its tail."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.3])
+    def test_slow_tail_is_refused_with_its_error(self, s):
+        spec = spec_of(s, 1, 2, 1, (1,))
+        with pytest.raises(AccelerationError, match="misses --tol 1e-10") as info:
+            zeta_mod._direct_value(spec, 400, 1e-10)
+        assert info.value.best_estimate == zeta_direct(spec, 400)
+        error = abs(info.value.best_estimate - zeta_accelerated(spec))
+        assert error / 2 <= info.value.achieved_tol <= 2 * error
+
+    def test_tail_within_tol_returns_the_partial_sum(self):
+        spec = spec_of(3, 1, 2, 1, (1,))
+        assert zeta_mod._direct_value(spec, 400, 1e-6) == zeta_direct(spec, 400)
+        with pytest.raises(AccelerationError):
+            zeta_mod._direct_value(spec, 400, 1e-12)  # its tail is about 1.9e-9
+
+    def test_vanishing_rate_gives_no_estimate(self):
+        # at a subnormal order (T/T')^sigma rounds to 1, so the tail cannot be estimated
+        with pytest.raises(AccelerationError) as info:
+            zeta_mod._direct_value(spec_of(5e-324, 1, 2, 1, (1,)), 3, 1e-10)
+        assert info.value.achieved_tol == math.inf
+
+    @pytest.mark.parametrize("terms", [1, 0, -3])
+    def test_fewer_than_two_terms_refused_before_any_sum(self, monkeypatch, terms):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_direct", no_work)
+        with pytest.raises(ValueError, match="--terms must be at least 2"):
+            zeta_mod._direct_value(spec_of(3, 1, 2, 1, (1,)), terms, 1e-10)
+
+
 def naive_box_sum(spec, N):
     """sum over 0 <= M <= N of prod_i zeta^{t a_i m_i} (A.M + x)^{-s}, point by point.
 
@@ -729,6 +763,25 @@ class TestAsymptotic:
             exact = gen_euler_poly(sigma, TwistSpec(k, t), A).eval_exact(F(12)).embed()
             assert abs(zeta_asymptotic(spec) - exact) < 1e-8, sigma
 
+    def test_integer_order_without_q_is_the_exact_main_term(self):
+        count = 0
+        for m, k, t, A in exact_grid():
+            for x in exact_shifts(m, A):  # shifts below A.1 among them
+                spec = spec_of(-m, x, k, t, A)
+                assert zeta_asymptotic(spec) == zeta_mod._exact_main_term(spec).embed(), (m, x, k, t, A)
+                count += 1
+        assert count > 1300
+
+    def test_explicit_q_keeps_the_float_sum(self, monkeypatch):
+        def no_exact(*args):
+            raise AssertionError("an explicit q took the exact path")
+
+        monkeypatch.setattr(zeta_mod, "_exact_main_term", no_exact)
+        spec = spec_of(-2, 10.5, 3, 1, (1, 2), q=2)
+        assert zeta_asymptotic(spec) == 75  # truncated at depth 2 < m + r
+        with pytest.raises(ValueError, match="branch"):
+            zeta_asymptotic(spec.with_x(0.5))
+
     def test_branch_guard(self):
         with pytest.raises(ValueError, match="branch"):
             zeta_asymptotic(spec_of(0.5, 0.5, 2, 1, (1,)))
@@ -806,6 +859,20 @@ class TestFiniteSum:
             approx = finite_sum_asymptotic(spec, (n,))
             exact = float(closed_sum(SumSpec.of((1,), (n,), 0, 2, 2, 1)).as_rational())
             assert abs(approx - exact) <= 1e-8 * (1 + abs(exact))
+
+    @pytest.mark.parametrize(
+        "m, x, N", [(2, F(1, 2), (3, 4)), (2, F(1, 2), (0, 0)), (3, F(1), (5, 4)), (4, F(0), (7, 2))]
+    )
+    def test_integer_order_without_q_is_the_exact_box_sum(self, m, x, N):
+        # every corner and the continuation take the exact value, also at x <= A.1
+        exact = closed_sum(SumSpec.of((1, 2), N, x, m, 3, 1)).embed()
+        value = finite_sum_asymptotic(spec_of(-m, x, 3, 1, (1, 2)), N)
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_one_point_box_below_the_weight_total(self):
+        # N = 0: the sum is its one term x^2 = 0.25; x and two of the corner shifts lie below A.1 = 3
+        value = finite_sum_asymptotic(spec_of(-2, 0.5, 3, 1, (1, 2)), (0, 0))
+        assert abs(value - 0.25) <= 1e-15
 
     def test_direct_matches_exact_integer_case(self):
         spec = spec_of(-2, 1, 2, 1, (1,), q=2)
