@@ -47,12 +47,22 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_complex(text: str) -> complex:
+    """The argparse type of ``--s``: RE or RE,IM; anything else is a usage error."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex number from {text!r}")
+    try:
+        if len(parts) <= 2:
+            return complex(*map(float, parts))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"cannot parse complex number from {text!r}; use RE or RE,IM")
+
+
+def _rational(text: str) -> Fraction:
+    """The argparse type of ``--x`` for ``sum`` and ``c-values``: a rational such as 2/3 or 0.25."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse rational number from {text!r}") from None
 
 
 def _tolerance(text: str) -> float:
@@ -114,7 +124,7 @@ def _cmd_sum(args) -> dict:
     spec = SumSpec(
         WeightVector(args.weights),
         args.limits,
-        parse_rational(args.x),
+        args.x,
         args.s,
         TwistSpec(args.k, args.t),
     )
@@ -161,7 +171,7 @@ def _cmd_c_values(args) -> dict:
     if args.star:
         return {"c_star": ser(c_star(args.n, args.k, args.a))}
     if args.x is not None:
-        return {"c_tilde": ser(c_tilde(spec, parse_rational(args.x)))}
+        return {"c_tilde": ser(c_tilde(spec, args.x))}
     poly = c_poly(spec)
     coeffs = [poly.coeff(i) for i in range(poly.degree() + 1)] or [CyclotomicNumber.zero(args.k)]
     return {"c_poly": [ser(c) for c in coeffs]}
@@ -187,7 +197,7 @@ def _zeta_spec(args) -> ZetaSpec:
     from .zeta import ZetaSpec
 
     return ZetaSpec(
-        _parse_complex(args.s), float(args.x), TwistSpec(args.k, args.t), WeightVector(args.weights), args.q
+        args.s, float(args.x), TwistSpec(args.k, args.t), WeightVector(args.weights), args.q
     )
 
 
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum", help="finite twisted power sum, closed form and/or brute force")
     p.add_argument("--weights", type=_parse_ints, required=True)
     p.add_argument("--limits", type=_parse_ints, required=True)
-    p.add_argument("--x", default="0")
+    p.add_argument("--x", type=_rational, default="0")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int)
-    p.add_argument("--x", help="evaluate the periodic value at this rational point")
+    p.add_argument("--x", type=_rational, help="evaluate the periodic value at this rational point")
     p.add_argument("--star", action="store_true")
     p.add_argument("--multi", type=_parse_ints, help="starred multinomial value for these weights")
     p.add_argument("--numeric", action="store_true", help="emit complex embeddings")
@@ -291,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_em_sum)
 
     p = sub.add_parser("zeta", help="generalized Euler-zeta evaluation")
-    p.add_argument("--s", required=True, help="decay order, RE or RE,IM")
+    p.add_argument("--s", type=_parse_complex, required=True, help="decay order, RE or RE,IM")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="empirical decay-rate probe")
     p.add_argument("--target", choices=("t3", "t4"), required=True)
     p.add_argument("--scales", required=True, help="comma-separated positive, strictly increasing scales")
-    p.add_argument("--s", required=True)
+    p.add_argument("--s", type=_parse_complex, required=True, help="decay order, RE or RE,IM")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)

@@ -27,17 +27,25 @@ scaling a^{m-1} the raw weight.
 The multinomial stars C*_{m,k}(A_r) and the complex-order combination
 C*_{s,m,k}(x;A_r) that the zeta asymptotics need are read from one memo of
 generalized Euler numbers, behind ``c_star_multi`` and the two evaluators
-of the combination: ``c_star_s`` in floats, which the zeta main terms call,
-and ``c_star_s_exact`` in Q(zeta_k).  ``c_star_s`` refuses an overflowing
-first power and a depth m > 171 before the memo is read, so neither builds
-an entry.  The stars' generating function is the generalized Euler one at
-the conjugate twist, so C*_j is E_{j-r}(k, -t; A_r) scaled (``_stars``).
+of the combination: ``c_star_s`` in floats and ``c_star_s_exact`` in
+Q(zeta_k).  The float combination is one loop, ``_star_sum``: the stars
+below C*_r are zero, so the factor (s-r+1)_r of every binomial C(s, j)
+cancels out of it, and the sum has no pole.  ``c_star_s`` multiplies that
+factor back, and the main term ``zeta.zeta_asymptotic``, whose prefactor
+divides by it, does not, so it holds at every order.  ``_star_sum``
+refuses an overflowing first power and a depth m > 171 before the memo is
+read, so neither builds an entry.  The stars' generating function is the
+generalized Euler one at the conjugate twist, so C*_j is E_{j-r}(k, -t; A_r)
+scaled (``_stars``).
 
 The memo (``_euler_memo``) keeps, for the latest 128 keys, one build of
 those numbers by ``bernoulli_euler._gen_euler_values`` and the float image
-of each nonzero star, which ``c_star_s`` reads with no exact arithmetic;
+of each nonzero star, which ``_star_sum`` reads with no exact arithmetic;
 a star out of the float range keeps its OverflowError message instead,
-so only ``c_star_s`` fails on it, and only where its sum reaches it.
+so only ``_star_sum`` fails on it, and only where its sum reaches it.
+The float images are of the stars and not of the numbers: at r = 1,
+|E_i| = 2 k^i / (i+1) |C*_{i+1}|, so the numbers leave the float range at
+a lower order than the stars.
 Its key is the order, k and the sorted conjugate pairs (a, -t a mod k) of
 ``bernoulli_euler._twist_pairs``, so permuted weights and twists that agree
 on every t a mod k share one entry.  The star table is a view:
@@ -194,7 +202,7 @@ def _euler_memo(order: int, k: int, conjugate: tuple) -> tuple[tuple, tuple]:
     star, taken once here; the latest 128 keys are kept.  A star out of the
     float range keeps the message of the OverflowError that ``embed`` raised
     in place of its image, so an exact reader of the entry never fails on
-    it, and ``c_star_s`` raises that error when its sum reaches the star.
+    it, and ``_star_sum`` raises that error when its sum reaches the star.
     Every build pays for the images, also one that only the exact readers
     read; scaling and embedding the stars is about 1% of the Euler build
     (3.6 of 472 ms at order 120, k = 7, A = (2, 3)).
@@ -303,40 +311,55 @@ def general_binomial(s: complex, j: int) -> complex:
     return pochhammer(s - j + 1, j) / math.factorial(j)
 
 
-def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
-    """C*_{s,m,k}(x;A_r) = sum_{j<=m} (-k)^j C(s,j) C*_{j,k}(A_r) x^{s-j}.
+def _star_sum(sigma: complex, m: int, k: int, y: float, A, t: int = 1, scale: complex = 1) -> complex:
+    """scale sum_{r<=j<=m} (-k)^j sigma^(j-r falling)/j! C*_{j,k}(A_r) y^{sigma+r-j}, principal branch.
 
-    Principal branch for x^{s-j}; requires x > 0.  The one float evaluator
-    of the star combination: the asymptotic main terms of ``zeta`` call it.
-    It reads the float image of each nonzero star from the memo entry, so a
-    warm call does no exact arithmetic.  Two refusals come before the memo
-    is read, so neither builds an entry.
-    When m >= r the sum's first nonzero term, at C*_r, takes the power
-    x^{s-r}; it is taken first, so an order at which it overflows raises
-    that OverflowError.  A depth m > 171 is refused next: the term at C*_j
-    divides by j!, which leaves the float range at j = 171, and a table this
-    deep holds a nonzero star at j = 171 or 172 on every key checked
-    (k <= 12, r <= 3).  The terms are then taken in order of j, each as
-    (-k)^j C(s, j), times the star, times x^{s-j}, and the first of these
-    steps to overflow raises: a star out of the float range raises the
-    OverflowError of its ``embed``.
+    The star combination C*_{sigma+r,m,k}(y;A_r) with its factor
+    (sigma+1)_r cancelled from every binomial C(sigma+r, j), so it has no
+    pole: ``c_star_s`` scales it by that factor and ``zeta.zeta_asymptotic``
+    by its prefactor.  It reads the float image of each nonzero star from
+    the memo entry, so a warm call does no exact arithmetic.  The refusals
+    come in this order.  y must be positive.  When m >= r the first nonzero
+    term, at C*_r, takes the power y^sigma; it is taken first, so an order
+    at which it overflows raises that OverflowError.  A depth m > 171 is
+    refused next: the term at C*_j divides by j!, which leaves the float
+    range at j = 171, and a table this deep holds a nonzero star at j = 171
+    or 172 on every key checked (k <= 12, r <= 3).  Neither of these builds
+    a memo entry.  The terms are then taken in order of j, each as (-k)^j
+    times its coefficient, times the star, times y^{sigma+r-j}, and the
+    first of these steps to overflow raises: a star out of the float range
+    raises the OverflowError of its ``embed``.  A non-finite scaled total
+    raises ArithmeticError.
     """
-    if not (x > 0):
+    if not (y > 0):
         raise ValueError("x must be positive (principal branch)")
     r = len(A)
     if m >= r:
-        complex(x) ** (s - r)  # the first term's power, which may overflow
+        complex(y) ** sigma  # the first term's power, which may overflow
     if m > 171:  # 171! > sys.float_info.max
         raise OverflowError("int too large to convert to float")
     total = 0j
     for j, image in _euler_entry(m, k, A, t)[1]:
-        term = (-k) ** j * general_binomial(s, j)
+        term = (-k) ** j * (pochhammer(sigma - (j - r) + 1, j - r) / math.factorial(j))
         if isinstance(image, str):  # the star is out of the float range
             raise OverflowError(image)
-        total += term * image * complex(x) ** (s - j)
+        total += term * image * complex(y) ** (sigma + r - j)
+    total *= scale
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ArithmeticError("non-finite value in C* evaluation")
     return total
+
+
+def c_star_s(s: complex, m: int, k: int, x: float, A, t: int = 1) -> complex:
+    """C*_{s,m,k}(x;A_r) = sum_{j<=m} (-k)^j C(s,j) C*_{j,k}(A_r) x^{s-j}.
+
+    Principal branch for x^{s-j}; requires x > 0.  The stars below C*_r are
+    zero, and C(s, j) = (s-r+1)_r (s-r)^(j-r falling)/j! for j >= r, so the
+    value is (s-r+1)_r times the pole-free sum :func:`_star_sum` at
+    sigma = s - r, with its refusals.
+    """
+    r = len(A)
+    return _star_sum(s - r, m, k, x, A, t, pochhammer(s - r + 1, r))
 
 
 def c_star_s_exact(n: int, m: int, k: int, x: RationalLike, A, t: int = 1) -> CyclotomicNumber:

@@ -24,16 +24,22 @@ tolerance and otherwise raises with its best estimate.
                       * C*_{sigma+r, q, k}(x - A.1; A_r)
 
 whose truncation error decays as x grows; it is exact for integer sigma >= 0
-once q >= sigma + r.  With ``q`` unset, an integer order takes that exact
+once q >= sigma + r.  The factor (sigma+1)_r cancels against the binomials
+of the star combination, so the term is summed without it
+(``twisted_c._star_sum``) and holds at every order, also in the convergent
+half-plane Re s >= 1.  With ``q`` unset, an integer order takes that exact
 value, by the one path of ``zeta_accelerated`` (``_exact_integer_order``), at
 every shift; an explicit ``q`` sums the float stars C*_{0..q,k}(A_r) to that
 depth.  Those stars do not depend on x; their float images are read from the
 bounded memo of ``twisted_c``, so every shift of one (q, k, t, A) shares one
 exact build.  ``finite_sum_asymptotic`` combines these main terms over the
 nonempty corner subsets with an accelerated zeta term to approximate the
-exact finite box sum, which it returns exactly embedded at an integer order
-with ``q`` unset, and ``decay_probe`` measures empirical error decay against
-the predicted exponent Re(sigma) - q + 2; its limits probe evaluates the
+exact finite box sum.  At an integer order with ``q`` unset each of those
+terms is exact and embedded once, but they are added in floats, so the sum
+is the exact one up to that rounding (at s = -2, x = 1/2, k = 3, t = 1,
+A = (1, 2) and N = (3, 4) its real part is -17.875000000000032 for the
+exact -143/8).  ``decay_probe`` measures empirical error decay against the
+predicted exponent Re(sigma) - q + 2; its limits probe evaluates the
 continuation once, since Z(s, x) does not depend on the box.
 """
 
@@ -48,7 +54,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bernoulli_euler import TwistSpec, WeightVector, _as_weights, gen_euler_poly
 from .exact import CyclotomicNumber, as_fraction, roots_of_unity
-from .twisted_c import _euler_sum, c_star_s, pochhammer
+from .twisted_c import _euler_sum, _star_sum
 
 
 class AccelerationError(RuntimeError):
@@ -320,8 +326,10 @@ def _exact_integer_order(spec: ZetaSpec) -> Optional[complex]:
 def _exact_main_term(spec: ZetaSpec) -> CyclotomicNumber:
     """Z(-m, x) exactly in Q(zeta_k): the main term of :func:`zeta_asymptotic` at q = m + r.
 
-    At sigma = m that term is exact.  Its prefactor, the star scaling and
-    the binomials of C*_{m+r,m+r,k} cancel, so with y = x - A.1 and
+    At sigma = m that term is exact.  It is the float main term's formula,
+    (-2/k)^r zeta^{-t A.1} times ``twisted_c._star_sum``, read over the
+    numbers instead of the star images: the star scaling cancels 2^r, k^j
+    and j!/(j-r)! (``twisted_c._stars``), so with y = x - A.1 and
     E_i = E_i(k, -t; A_r) it is
 
         zeta^{-t A.1} sum_{i <= m} (-1)^{i+r} C(m, i) E_i y^{m-i},
@@ -384,44 +392,45 @@ def _transform(spec: ZetaSpec, tol: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def zeta_asymptotic(spec: ZetaSpec) -> complex:
-    """Closed-form main term for Z(s, x) at sigma = -s, Re(sigma) > -1.
+    """Closed-form main term for Z(s, x) at sigma = -s, at any order.
 
-    The prefactor (-2)^r zeta^{-t A.1} / (k^r (sigma+1)_r) makes the term
-    exact for nonnegative integer sigma with q >= sigma + r; for non-integer
-    sigma the truncation error decays as x grows (see ``decay_probe``).
+    The main term (-2)^r zeta^{-t A.1} / (k^r (sigma+1)_r) C*_{sigma+r,q,k}(x - A.1; A_r)
+    is exact for nonnegative integer sigma with q >= sigma + r; at every
+    other order its truncation error decays as x grows (see
+    ``decay_probe``).  The factor (sigma+1)_r cancels against the binomials
+    of the star combination, so the term is evaluated as
+    (-2/k)^r zeta^{-t A.1} times the pole-free sum ``twisted_c._star_sum``
+    at depth ``effective_q()`` and argument x - A.1 > 0, with no pole at
+    sigma = -1, ..., -r and so through the convergent half-plane too.
 
     With ``q`` unset, an integer order s = -m <= 0 returns the exact value
     of :func:`zeta_accelerated`, the term at q = m + r
     (:func:`_exact_integer_order`).  It is a polynomial in x, so it holds at
     every shift, also at x <= A.1, and an order whose float terms would
-    overflow is refused as there.  An explicit ``q`` keeps the float sum at
-    that depth, whose truncation ``decay_probe`` measures.
+    overflow is refused as there.  At every other order with ``q`` unset,
+    a default depth max(1, ceil Re sigma) below r is refused after the
+    branch check: every star it reads is zero.  An explicit ``q`` keeps the
+    float sum at that depth, whose truncation ``decay_probe`` measures; a
+    depth below r sums to 0.
 
-    The float sum is the one evaluator ``twisted_c.c_star_s`` at order
-    sigma + r, depth ``effective_q()`` and argument x - A.1 > 0.  Its memo
-    entry depends on q, k, t and A but not on x, so every shift of one spec
-    reads the same float stars, and ``c_star_s`` refuses an overflowing
-    first power and a depth q > 171 before that entry is built.
+    The star sum's memo entry depends on q, k, t and A but not on x, so
+    every shift of one spec reads the same float stars, and it refuses an
+    overflowing first power and a depth q > 171 before that entry is built.
     """
     if spec.q is None:
         exact = _exact_integer_order(spec)
         if exact is not None:
             return exact
-    sigma = spec.sigma()
-    if sigma.real <= -1:
-        raise ValueError("need Re(sigma) > -1 for the asymptotic main term")
-    k, t = spec.twist.k, spec.twist.t
-    r = len(spec.A)
+    k, t, r = spec.twist.k, spec.twist.t, len(spec.A)
     weight_total = sum(spec.A.entries)
     arg = spec.x - weight_total
     if not (arg > 0):
         raise ValueError("branch violation: need x - A.1 > 0")
-    prefactor = (
-        (-2.0) ** r
-        * roots_of_unity(k)[t * weight_total % k].conjugate()
-        / (k**r * pochhammer(sigma + 1, r))
-    )
-    return prefactor * c_star_s(sigma + r, spec.effective_q(), k, arg, spec.A, t)
+    q = spec.effective_q()
+    if spec.q is None and q < r:
+        raise ValueError(f"default depth q = {q} is below r = {r}: every star it reads is zero; pass q >= {r}")
+    prefactor = (-2.0 / k) ** r * roots_of_unity(k)[t * weight_total % k].conjugate()
+    return _star_sum(spec.sigma(), q, k, arg, spec.A, t, prefactor)
 
 
 def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) -> complex:

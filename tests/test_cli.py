@@ -67,6 +67,14 @@ class TestSumCommand:
             main(["sum", "--weights", "1"])
         assert info.value.code == 2
 
+    def test_too_many_weights_refused(self, capsys):
+        ones, zeros = ",".join(["1"] * 21), ",".join(["0"] * 21)
+        code, out, err = run_cli(capsys, "sum", "--weights", ones, "--limits", zeros, "--s", "1", "--k", "2", "--t", "1")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "at most 20 weights (the closed form enumerates 2^r subsets)", "type": "ValueError"
+        }
+
     @pytest.mark.parametrize(
         "k, t, weights, limits, x, s, expected",
         [
@@ -324,7 +332,7 @@ class TestZetaCommand:
             (
                 ("--method", "finite", "--s=-1.5", "--x", "0.5", "--k", "5", "--t", "2",
                  "--weights", "1,3", "--q", "4", "--limits", "30,30"),
-                '{"method": "finite", "value": {"im": -743.3053209395772, "re": 579.6614750530108}}\n',
+                '{"method": "finite", "value": {"im": -743.3053209395774, "re": 579.6614750530109}}\n',
             ),
         ],
     )
@@ -407,6 +415,18 @@ class TestZetaCommand:
         assert payload["type"] == "AccelerationError"
         assert payload["best_estimate"] is None
         assert payload["achieved_tol"] > 1e-31
+
+    def test_finite_method_inner_axis_stall_reports_no_estimate(self, capsys):
+        # a stall on an inner axis leaves no estimate to carry through the corners
+        code, out, err = run_cli(
+            capsys, "zeta", "--method", "finite", "--s=-1.25", "--x", "1", "--k", "6", "--t", "1",
+            "--weights", "1,1", "--limits", "3,3",
+        )
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["type"] == "AccelerationError"
+        assert payload["best_estimate"] is None
+        assert payload["achieved_tol"] > 1e-11
 
     def test_non_finite_diagnostics_are_null(self, capsys):
         exc = AccelerationError("stalled", best_estimate=complex(math.inf, 1.0), achieved_tol=math.inf)
@@ -496,9 +516,9 @@ class TestProbeCommand:
         )
         assert code == 0
         assert out == (
-            '{"exact": false, "fitted": -2.060303257668344, "monotone_decreasing": true, '
+            '{"exact": false, "fitted": -2.060303257668471, "monotone_decreasing": true, '
             '"points": [[5.0, 0.09360713610592415], [10.0, 0.015348051038086636], '
-            '[20.0, 0.00403947514427136], [40.0, 0.0012507623142883446]], "predicted": -0.5}\n'
+            '[20.0, 0.00403947514427136], [40.0, 0.0012507623142879773]], "predicted": -0.5}\n'
         )
 
     def test_golden_limits_probe_output(self, capsys):
@@ -510,9 +530,9 @@ class TestProbeCommand:
         )
         assert code == 0
         assert out == (
-            '{"exact": false, "fitted": -1.5706511126274998, "monotone_decreasing": true, '
-            '"points": [[10.0, 0.0015578012008693961], [20.0, 0.0005966279990653612], '
-            '[40.0, 0.00017655736516006284]], "predicted": -0.5}\n'
+            '{"exact": false, "fitted": -1.5706511126306473, "monotone_decreasing": true, '
+            '"points": [[10.0, 0.0015578012008690193], [20.0, 0.0005966279990653612], '
+            '[40.0, 0.00017655736515924977]], "predicted": -0.5}\n'
         )
 
     def test_shift_probe_honours_tolerance(self, capsys):
@@ -552,6 +572,55 @@ class TestVerifyCommand:
         obj = run_json(capsys, "verify", "--suite", suite, "--seed", str(seed))
         failed = [r for report in obj["reports"] for r in report["results"] if not r["passed"]]
         assert obj["failures"] == 0, failed
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zeta", "--s", "abc", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"),
+         "argument --s: cannot parse complex number from 'abc'; use RE or RE,IM"),
+        (("zeta", "--s", "1,2,3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"),
+         "argument --s: cannot parse complex number from '1,2,3'; use RE or RE,IM"),
+        (("probe", "--target", "t4", "--scales", "10,20,40", "--s", "1,", "--k", "2", "--t", "1", "--weights", "1"),
+         "argument --s: cannot parse complex number from '1,'; use RE or RE,IM"),
+        (("sum", "--weights", "1,2", "--limits", "3,4", "--x", "abc", "--s", "3", "--k", "5", "--t", "1"),
+         "argument --x: cannot parse rational number from 'abc'"),
+        (("sum", "--weights", "1,2", "--limits", "3,4", "--x", "1/0", "--s", "3", "--k", "5", "--t", "1"),
+         "argument --x: cannot parse rational number from '1/0'"),
+        (("c-values", "--n", "3", "--k", "5", "--a", "2", "--x", "abc"),
+         "argument --x: cannot parse rational number from 'abc'"),
+    ],
+)
+def test_malformed_order_or_shift_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").endswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zeta", "--method", "finite", "--s", "0.5", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"),
+         "--limits is required for --method finite"),
+        (("c-values", "--n", "3", "--k", "3"), "--a is required unless --multi is given"),
+        (("em-sum", "--preset", "sin:1", "--m", "0", "--n", "1", "--k", "2", "--a", "1", "--q", "2"),
+         "unknown preset 'sin:1'; use poly:c0,c1,... or exp:alpha"),
+    ],
+)
+def test_missing_or_unknown_input_is_a_json_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": message, "type": "ValueError"}
+
+
+def test_unknown_suite_refused():
+    from twistsum.verify import run_suites
+
+    with pytest.raises(ValueError, match="unknown suite 'nope'; choose from exact, "):
+        run_suites("nope", 0)
 
 
 class TestOutputModes:

@@ -786,9 +786,43 @@ class TestAsymptotic:
         with pytest.raises(ValueError, match="branch"):
             zeta_asymptotic(spec_of(0.5, 0.5, 2, 1, (1,)))
 
-    def test_order_range_guard(self):
-        with pytest.raises(ValueError):
-            zeta_asymptotic(spec_of(1.5, 10, 2, 1, (1,)))  # sigma = -1.5
+    @pytest.mark.parametrize("s", [1.5, 1])  # sigma = -1.5, and sigma = -1, a pole of (sigma+1)_r
+    def test_convergent_orders_track_the_continuation(self, s):
+        spec = spec_of(s, 40.5, 3, 1, (1, 2), q=14)
+        accel = zeta_accelerated(spec)
+        assert abs(zeta_asymptotic(spec) - accel) <= 1e-9 * abs(accel)
+
+    def test_matches_the_binomial_form_on_a_grid(self):
+        # the pole-free star sum against (-2)^r zeta^{-t A.1} / (k^r (sigma+1)_r) C*_{sigma+r,q,k},
+        # summed here with the binomials C(sigma+r, j) from the exact stars, where (sigma+1)_r != 0
+        count = 0
+        for s in (0.5, 0.3, -0.5, -1.5, -2, -3.7, 0.5 + 1j, -0.25 - 0.75j):
+            for k, t, A in ((2, 1, (1,)), (3, 1, (1, 2)), (4, 3, (1,)), (5, 2, (1, 3)), (5, 2, (1, 2, 3)), (7, 3, (2, 3))):
+                r, weight_total = len(A), sum(A)
+                for y in (10.5, 35):
+                    for q in (r, r + 4, 14):
+                        spec = spec_of(s, weight_total + y, k, t, A, q=q)
+                        sigma = spec.sigma()
+                        total = 0j
+                        for j, star in enumerate(twisted_c._periodic_stars(q, k, A, t)):
+                            power = complex(y) ** (sigma + r - j)
+                            total += (-k) ** j * twisted_c.general_binomial(sigma + r, j) * star.embed() * power
+                        root = roots_of_unity(k)[t * weight_total % k].conjugate()
+                        expected = (-2) ** r * root / (k**r * twisted_c.pochhammer(sigma + 1, r)) * total
+                        assert abs(zeta_asymptotic(spec) - expected) <= 1e-13 * abs(expected), (s, k, t, A, y, q)
+                        count += 1
+        assert count == 288
+
+    def test_default_depth_below_r_refused(self):
+        # max(1, ceil(-0.3)) = 1 < r = 3 would read only the zero stars C*_0, C*_1
+        spec = spec_of(0.3, 7, 5, 2, (1, 2, 3))
+        for evaluate in (zeta_asymptotic, lambda sp: finite_sum_asymptotic(sp, (3, 3, 3))):
+            with pytest.raises(ValueError, match="default depth q = 1 is below r = 3"):
+                evaluate(spec)
+        # the branch check comes first
+        with pytest.raises(ValueError, match="branch violation"):
+            zeta_asymptotic(spec_of(0.5, 2, 3, 1, (1, 2)))
+        assert cmath.isfinite(zeta_asymptotic(spec_of(0.3, 7, 5, 2, (1, 2, 3), q=3)))
 
     @pytest.mark.parametrize(
         "evaluate, s, x, A",
@@ -954,6 +988,13 @@ class TestDecayProbe:
         assert report.monotone_decreasing
         assert not report.exact
         assert report.predicted == pytest.approx(-0.5)
+        assert report.fitted <= report.predicted + 0.3
+
+    @pytest.mark.parametrize("k, A", [(2, (1,)), (3, (1, 2))])
+    def test_shift_probe_convergent_order(self, k, A):
+        report = decay_probe("shift", spec_of(1.5, 10, k, 1, A, q=3), [10, 20, 40, 80])
+        assert report.monotone_decreasing
+        assert report.predicted == pytest.approx(-2.5)
         assert report.fitted <= report.predicted + 0.3
 
     def test_shift_probe_integer_order_marked_exact(self):
