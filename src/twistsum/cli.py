@@ -6,6 +6,12 @@ as strings ("p/q", or the {"k", "coeffs"} object for irrational cyclotomic
 values) so precision is never silently lost; numeric values are {"re", "im"}
 doubles.  Exit codes: 0 success, 1 computational error (with a JSON error
 object; a non-finite float in a result is one), 2 usage error.
+
+The parser is built once, when the module is imported, and never changed,
+so concurrent calls of :func:`main` share it safely.  ``--tol`` has no
+default: when it is absent, :func:`main` reads ``TWISTSUM_TOL`` (default
+1e-10) at each call.  The handlers build their specs with the library's own
+constructors, which check the options.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import json
 import math
 import os
 import sys
-import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +28,7 @@ from typing import Optional
 # handlers import from the defining module when they run, so a process loads
 # only the modules its command needs, and a patched module attribute is seen
 # by every call.
-from .bernoulli_euler import TwistSpec, WeightVector, gen_euler_numbers, gen_euler_poly
+from .bernoulli_euler import TwistSpec, gen_euler_numbers, gen_euler_poly
 from .exact import CyclotomicNumber, parse_rational
 from .powersum import SumSpec, brute_sum, closed_sum, closed_sum_trace
 
@@ -43,7 +48,24 @@ def _ser_complex(value: complex) -> dict:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
+    """The argparse type of ``--weights``, ``--limits`` and ``--multi``."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _scales(text: str) -> str:
+    """The argparse type of ``--scales``: each comma-separated part must read as a float.
+
+    The text is kept, because ``probe`` reads the scales of ``t3`` as integers.
+    """
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    return text
 
 
 def _parse_complex(text: str) -> complex:
@@ -66,7 +88,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _tolerance(text: str) -> float:
-    """The argparse type of ``--tol`` and ``TWISTSUM_TOL``: a finite positive float."""
+    """The type of ``--tol`` and of ``TWISTSUM_TOL``: a finite positive float."""
     try:
         value = float(text)
     except ValueError:
@@ -74,11 +96,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
     return value
-
-
-def _env_tol() -> str:
-    """The default of ``--tol``: ``TWISTSUM_TOL``, checked by :func:`_tolerance` at parse time."""
-    return os.environ.get("TWISTSUM_TOL", "1e-10")
 
 
 def _render(obj: dict, text_mode: bool) -> str:
@@ -121,13 +138,7 @@ def _make_smooth(preset: str) -> SmoothFunction:
 def _cmd_sum(args) -> dict:
     if len(args.weights) > 20:
         raise ValueError("at most 20 weights (the closed form enumerates 2^r subsets)")
-    spec = SumSpec(
-        WeightVector(args.weights),
-        args.limits,
-        args.x,
-        args.s,
-        TwistSpec(args.k, args.t),
-    )
+    spec = SumSpec.of(args.weights, args.limits, args.x, args.s, args.k, args.t)
     out: dict = {
         "spec": {
             "weights": list(spec.A.entries),
@@ -151,11 +162,10 @@ def _cmd_sum(args) -> dict:
 
 def _cmd_euler_gen(args) -> dict:
     twist = TwistSpec(args.k, args.t)
-    A = WeightVector(args.weights)
     if args.poly:
-        poly = gen_euler_poly(args.order, twist, A)
+        poly = gen_euler_poly(args.order, twist, args.weights)
         return {"poly": [_ser_exact(poly.coeff(i)) for i in range(args.order + 1)]}
-    values = gen_euler_numbers(args.order, twist, A)
+    values = gen_euler_numbers(args.order, twist, args.weights)
     return {"values": [_ser_exact(v) for v in values]}
 
 
@@ -192,19 +202,10 @@ def _cmd_em_sum(args) -> dict:
     }
 
 
-def _zeta_spec(args) -> ZetaSpec:
-    """The ``ZetaSpec`` of the ``zeta`` and ``probe`` options."""
-    from .zeta import ZetaSpec
-
-    return ZetaSpec(
-        args.s, float(args.x), TwistSpec(args.k, args.t), WeightVector(args.weights), args.q
-    )
-
-
 def _cmd_zeta(args) -> dict:
-    from .zeta import _direct_value, finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
+    from .zeta import ZetaSpec, _direct_value, finite_sum_asymptotic, zeta_accelerated, zeta_asymptotic
 
-    spec = _zeta_spec(args)
+    spec = ZetaSpec.of(args.s, args.x, args.k, args.t, args.weights, args.q)
     if args.method == "direct":
         value = _direct_value(spec, args.terms, args.tol)
     elif args.method == "accel":
@@ -219,10 +220,10 @@ def _cmd_zeta(args) -> dict:
 
 
 def _cmd_probe(args) -> dict:
-    from .zeta import decay_probe
+    from .zeta import ZetaSpec, decay_probe
 
     target = {"t3": "limits", "t4": "shift"}[args.target]
-    spec = _zeta_spec(args)
+    spec = ZetaSpec.of(args.s, args.x, args.k, args.t, args.weights, args.q)
     scales = [float(v) if target == "shift" else int(v) for v in args.scales.split(",")]
     report = decay_probe(target, spec, scales, tol=args.tol)
     return report.to_json_obj()
@@ -256,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=_tolerance,
-        default=_env_tol(),
         help="numeric tolerance of the zeta and probe evaluations (env TWISTSUM_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="empirical decay-rate probe")
     p.add_argument("--target", choices=("t3", "t4"), required=True)
-    p.add_argument("--scales", required=True, help="comma-separated positive, strictly increasing scales")
+    p.add_argument("--scales", type=_scales, required=True, help="comma-separated positive, strictly increasing scales")
     p.add_argument("--s", type=_parse_complex, required=True, help="decay order, RE or RE,IM")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--k", type=int, required=True)
@@ -353,19 +353,17 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-#: built by the first call of :func:`main` and kept: building the parser takes
-#: most of an in-process call's own time
-_parser: Optional[argparse.ArgumentParser] = None
-_parser_lock = threading.Lock()
+#: built once and never changed; each call's options live in its own namespace
+_parser = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    global _parser
-    with _parser_lock:  # keeps each call's --tol default with its own parse
-        if _parser is None:
-            _parser = build_parser()
-        _parser.set_defaults(tol=_env_tol())
-        args = _parser.parse_args(argv)
+    args = _parser.parse_args(argv)
+    if args.tol is None:
+        try:
+            args.tol = _tolerance(os.environ.get("TWISTSUM_TOL", "1e-10"))
+        except argparse.ArgumentTypeError as exc:
+            _parser.error(f"argument --tol: {exc}")
     try:
         result = args.handler(args)
         rendered = _render(result, args.text)

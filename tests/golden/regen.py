@@ -15,10 +15,11 @@ and cover the other commands: ``sum`` closed, brute, both and ``--trace``,
 ``--x``, ``em-sum`` unit and ``--scaled`` with poly and exp presets, the
 computational refusals of missing or unknown input (exit 1), one ``--text``
 call per command, the usage errors (exit 2) of a missing option and of a
-malformed ``--s`` or ``--x``, the ``exact``, ``powersum``, ``euler`` and
-``em`` verify suites at seed 0, and the whole suite (``--suite all``) at
-seed 7.  No output depends on the wall clock.  ``tests/test_golden_cli.py``
-replays the corpus through :func:`replay` and compares byte for byte.
+malformed ``--s``, ``--x``, ``--weights`` or ``--scales``, the ``exact``,
+``powersum``, ``euler`` and ``em`` verify suites at seed 0, and the whole
+suite (``--suite all``) at seed 7.  No output depends on the wall clock.
+``tests/test_golden_cli.py`` replays the corpus through :func:`replay` and
+compares byte for byte.
 
 Run from the repository root, with ``TWISTSUM_TOL`` unset:
 
@@ -177,6 +178,8 @@ _USAGE = [
     "probe --target t4 --scales 10,20,40 --s abc --k 2 --t 1 --weights 1",
     "sum --weights 1,2 --limits 3,4 --x abc --s 3 --k 5 --t 1",
     "c-values --n 3 --k 5 --a 2 --x abc",
+    "sum --weights 1,a --limits 3,4 --s 3 --k 5 --t 1",
+    "probe --target t4 --scales 10,abc,40 --s 0.5 --k 2 --t 1 --weights 1 --q 2",
 ]
 
 _VERIFY_MORE = [f"verify --suite {suite} --seed 0" for suite in ("exact", "powersum", "euler", "em")]

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import pytest
 
@@ -552,6 +553,16 @@ class TestProbeCommand:
         assert payload["type"] == "ValueError"
         assert "must be finite" in payload["error"]
 
+    def test_non_integer_limits_scale_is_a_json_error(self, capsys):
+        # every part reads as a float, so the parser passes it; t3 reads its scales as integers
+        code, out, err = run_cli(
+            capsys,
+            "probe", "--target", "t3", "--scales", "8.5,16,32",
+            "--s", "0.5", "--k", "2", "--t", "1", "--weights", "1", "--q", "2",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "invalid literal for int() with base 10: '8.5'", "type": "ValueError"}
+
 
 class TestVerifyCommand:
     def test_exact_suite_passes(self, capsys):
@@ -589,6 +600,19 @@ class TestVerifyCommand:
          "argument --x: cannot parse rational number from '1/0'"),
         (("c-values", "--n", "3", "--k", "5", "--a", "2", "--x", "abc"),
          "argument --x: cannot parse rational number from 'abc'"),
+        # the comma-separated lists
+        (("sum", "--weights", "1,a", "--limits", "3,4", "--s", "3", "--k", "5", "--t", "1"),
+         "argument --weights: expected comma-separated integers, got '1,a'"),
+        (("sum", "--weights", "1,2", "--limits", "3,4.5", "--s", "3", "--k", "5", "--t", "1"),
+         "argument --limits: expected comma-separated integers, got '3,4.5'"),
+        (("c-values", "--n", "3", "--k", "3", "--multi", "1,x"),
+         "argument --multi: expected comma-separated integers, got '1,x'"),
+        (("probe", "--target", "t4", "--scales", "10,abc,40", "--s", "0.5", "--k", "2", "--t", "1",
+          "--weights", "1", "--q", "2"),
+         "argument --scales: expected comma-separated numbers, got '10,abc,40'"),
+        (("probe", "--target", "t3", "--scales", "8,,32", "--s", "0.5", "--k", "2", "--t", "1",
+          "--weights", "1", "--q", "2"),
+         "argument --scales: expected comma-separated numbers, got '8,,32'"),
     ],
 )
 def test_malformed_order_or_shift_is_a_usage_error(capsys, argv, message):
@@ -687,28 +711,73 @@ class TestToleranceEnvironment:
             assert exc.value.code == 2
             assert "--tol" in capsys.readouterr().err
 
-    def test_env_tolerance_is_the_default(self, monkeypatch):
+    def test_env_tolerance_is_the_default(self, monkeypatch, capsys):
+        # the direct sum's tail at s = 3 is about 1.9e-9: within 1e-6, not within 1e-12
+        argv = ["zeta", "--method", "direct", "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"]
         monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
-        argv = ["verify", "--suite", "exact"]
-        assert build_parser().parse_args(argv).tol == 1e-6
-        assert build_parser().parse_args(["--tol", "1e-8"] + argv).tol == 1e-8
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, "--tol", "1e-12", *argv)[0] == 1
+        monkeypatch.setenv("TWISTSUM_TOL", "1e-12")
+        assert run_cli(capsys, *argv)[0] == 1
+        assert run_cli(capsys, "--tol", "1e-6", *argv)[0] == 0
+
+    def test_malformed_env_tolerance_gives_the_top_level_usage(self, monkeypatch, capsys):
+        # also for a command that does not read the tolerance
+        monkeypatch.setenv("TWISTSUM_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--weights", "1,2", "--limits", "3,4", "--s", "3", "--k", "5", "--t", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: twistsum [-h]")
+        assert err.endswith("twistsum: error: argument --tol: tolerance must be finite and positive, got 'abc'\n")
+
+    def test_malformed_subcommand_option_wins_over_the_env_tolerance(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWISTSUM_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--weights", "1,a", "--limits", "3,4", "--s", "3", "--k", "5", "--t", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("argument --weights: expected comma-separated integers, got '1,a'\n")
 
 
 class TestSharedParser:
     DIRECT = ["zeta", "--method", "direct", "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"]
 
     def test_one_parser_per_process(self, monkeypatch, capsys):
+        # the parser is built when the module is imported; a call neither builds nor changes it
         builds = []
 
         def counting_build():
             builds.append(1)
             return build_parser()
 
-        monkeypatch.setattr(cli, "_parser", None)
+        parser = cli._parser
+        defaults = dict(parser._defaults)
         monkeypatch.setattr(cli, "build_parser", counting_build)
-        for _ in range(3):
-            run_json(capsys, "c-values", "--n", "3", "--k", "3", "--a", "1")
-        assert len(builds) == 1
+        for tol in ([], ["--tol", "1e-6"], []):
+            run_json(capsys, *tol, "c-values", "--n", "3", "--k", "3", "--a", "1")
+        assert builds == []
+        assert cli._parser is parser
+        assert parser._defaults == defaults
+        assert parser.get_default("tol") is None
+
+    def test_concurrent_calls_keep_their_own_tolerance(self, monkeypatch):
+        # at s = 3 the direct sum's tail (about 1.9e-9) meets 1e-6 and misses 1e-12
+        monkeypatch.delenv("TWISTSUM_TOL", raising=False)
+        count = 8
+        barrier = threading.Barrier(count)
+        codes = [None] * count
+
+        def call(i):
+            tol = "1e-6" if i % 2 else "1e-12"
+            barrier.wait()
+            codes[i] = main(["--tol", tol, *self.DIRECT])
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert codes == [1, 0] * (count // 2)
 
     def test_env_tolerance_set_between_calls_takes_effect(self, monkeypatch, capsys):
         monkeypatch.setenv("TWISTSUM_TOL", "1e-12")  # the tail at s = 3 is about 1.9e-9
