@@ -8,9 +8,9 @@ doubles.  Exit codes: 0 success, 1 computational error (with a JSON error
 object; a non-finite float in a result is one), 2 usage error.
 
 The parser is built once, when the module is imported, and never changed,
-so concurrent calls of :func:`main` share it safely.  ``--tol`` has no
-default: when it is absent, :func:`main` reads ``TWISTSUM_TOL`` (default
-1e-10) at each call.  The handlers build their specs with the library's own
+so concurrent calls of :func:`main` share it safely.  No environment
+variable sets an option (argparse reads ``COLUMNS`` only to wrap its usage
+errors).  The handlers build their specs with the library's own
 constructors, which check the options.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -30,7 +29,7 @@ from typing import Optional
 # by every call.
 from .bernoulli_euler import TwistSpec, gen_euler_numbers, gen_euler_poly
 from .exact import CyclotomicNumber, parse_rational
-from .powersum import SumSpec, brute_sum, closed_sum, closed_sum_trace
+from .powersum import SumSpec, _closed_form, brute_sum, closed_sum
 
 #: ``verify.SUITE_NAMES``, repeated so that the parser does not import ``verify``
 _SUITE_NAMES = ("exact", "powersum", "euler", "cvalues", "em", "zeta", "all")
@@ -88,7 +87,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _tolerance(text: str) -> float:
-    """The type of ``--tol`` and of ``TWISTSUM_TOL``: a finite positive float."""
+    """The argparse type of ``--tol``: a finite positive float."""
     try:
         value = float(text)
     except ValueError:
@@ -149,14 +148,16 @@ def _cmd_sum(args) -> dict:
             "t": spec.twist.t,
         }
     }
+    if args.trace:  # the closed value and its decomposition from one Euler build
+        closed, out["trace"] = _closed_form(spec, trace=True)
+    elif args.method != "brute":
+        closed = closed_sum(spec)
     if args.method in ("closed", "both"):
-        out["closed"] = _ser_exact(closed_sum(spec))
+        out["closed"] = _ser_exact(closed)
     if args.method in ("brute", "both"):
         out["brute"] = _ser_exact(brute_sum(spec))
     if args.method == "both":
         out["equal"] = out["closed"] == out["brute"]
-    if args.trace:
-        out["trace"] = closed_sum_trace(spec)
     return out
 
 
@@ -257,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=_tolerance,
-        help="numeric tolerance of the zeta and probe evaluations (env TWISTSUM_TOL)",
+        default=1e-10,
+        help="numeric tolerance of the zeta and probe evaluations (default 1e-10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,11 +361,6 @@ _parser = build_parser()
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser.parse_args(argv)
-    if args.tol is None:
-        try:
-            args.tol = _tolerance(os.environ.get("TWISTSUM_TOL", "1e-10"))
-        except argparse.ArgumentTypeError as exc:
-            _parser.error(f"argument --tol: {exc}")
     try:
         result = args.handler(args)
         rendered = _render(result, args.text)

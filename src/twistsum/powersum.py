@@ -77,27 +77,31 @@ def closed_sum(spec: SumSpec) -> CyclotomicNumber:
     added in one raw vector reduced once modulo Phi_k (``exact._root_sum``):
     the only field products are those of the Euler build.
     """
-    poly = gen_euler_poly(spec.s, spec.twist, spec.A)
-    terms = []
-    for _, shift, sign in spec.A.corners(spec.N):
-        value = poly.eval_exact(shift + spec.x)
-        terms.append((spec.twist.t * shift, value if sign > 0 else -value))
-    return _root_sum(spec.twist.k, terms) * Fraction(1, 2 ** len(spec.A))
+    return _closed_form(spec, trace=False)[0]
 
 
 def closed_sum_trace(spec: SumSpec) -> list[dict]:
     """Per-subset decomposition of the closed form (for diagnostic output)."""
+    return _closed_form(spec, trace=True)[1]
+
+
+def _closed_form(spec: SumSpec, trace: bool) -> tuple[CyclotomicNumber, list[dict]]:
+    """:func:`closed_sum` and, with ``trace``, :func:`closed_sum_trace` (else
+    an empty list) from one Euler build and one evaluation per corner."""
     poly = gen_euler_poly(spec.s, spec.twist, spec.A)
-    return [
-        {
-            "subset": [i + 1 for i in indices],
-            "argument": str(shift + spec.x),
-            "sign": sign,
-            "root_power": (spec.twist.t * shift) % spec.twist.k,
-            "euler_value": poly.eval_exact(shift + spec.x).to_json_obj(),
-        }
-        for indices, shift, sign in spec.A.corners(spec.N)
-    ]
+    terms, rows = [], []
+    for indices, shift, sign in spec.A.corners(spec.N):
+        value = poly.eval_exact(shift + spec.x)
+        terms.append((spec.twist.t * shift, value if sign > 0 else -value))
+        if trace:
+            rows.append({
+                "subset": [i + 1 for i in indices],
+                "argument": str(shift + spec.x),
+                "sign": sign,
+                "root_power": (spec.twist.t * shift) % spec.twist.k,
+                "euler_value": value.to_json_obj(),
+            })
+    return _root_sum(spec.twist.k, terms) * Fraction(1, 2 ** len(spec.A)), rows
 
 
 def alternating_sum(A, N, x: RationalLike, s: int) -> CyclotomicNumber:

@@ -21,7 +21,7 @@ suite (``--suite all``) at seed 7.  No output depends on the wall clock.
 ``tests/test_golden_cli.py`` replays the corpus through :func:`replay` and
 compares byte for byte.
 
-Run from the repository root, with ``TWISTSUM_TOL`` unset:
+Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -207,8 +207,6 @@ def replay(argv: list[str]) -> dict:
 
 
 def main() -> None:
-    if "TWISTSUM_TOL" in os.environ:
-        raise SystemExit("unset TWISTSUM_TOL: the corpus records the default --tol")
     os.environ["COLUMNS"] = USAGE_COLUMNS  # argparse wraps the usage errors to the terminal
     with CORPUS.open("w", encoding="utf-8") as fh:
         for argv in CASES:

@@ -1,12 +1,15 @@
 import json
 import math
 import threading
+from fractions import Fraction
 
 import pytest
 
-from twistsum import cli, zeta
+from twistsum import cli, powersum, zeta
+from twistsum.bernoulli_euler import gen_euler_poly
 from twistsum.cli import _fail, build_parser, main
-from twistsum.exact import CyclotomicNumber, parse_rational
+from twistsum.exact import CyclotomicNumber, cyc_root, parse_rational
+from twistsum.powersum import SumSpec, closed_sum
 from twistsum.verify import SUITE_NAMES
 from twistsum.zeta import AccelerationError, ZetaSpec, finite_sum_asymptotic, zeta_accelerated, zeta_direct
 
@@ -42,6 +45,42 @@ class TestSumCommand:
         )
         assert len(obj["trace"]) == 4
         assert sorted(row["argument"] for row in obj["trace"]) == ["0", "151", "303", "454"]
+
+    @pytest.mark.parametrize("k, t, weights, limits", [
+        (2, 1, "3", "7"), (2, 1, "1,3", "4,2"), (2, 1, "1,5,3", "2,3,1"),
+        (5, 2, "2", "6"), (5, 1, "1,3", "3,4"), (5, 3, "1,2,4", "2,1,3"),
+        (12, 5, "1", "9"), (12, 1, "5,7", "3,2"), (12, 7, "1,5,11", "2,2,1"),
+    ])
+    def test_trace_rows_rebuild_the_closed_value(self, capsys, k, t, weights, limits):
+        # 2^-r sum sign * zeta^root_power * euler_value, exactly, is the printed closed value
+        argv = ["sum", "--weights", weights, "--limits", limits, "--x", "7/3", "--s", "4", "--k", str(k), "--t", str(t)]
+        obj = run_json(capsys, *argv, "--trace")
+        rows = obj["trace"]
+        assert run_json(capsys, *argv, "--method", "brute", "--trace")["trace"] == rows
+        r = len(weights.split(","))
+        assert len(rows) == 2**r
+        total = CyclotomicNumber.zero(k)
+        for row in rows:
+            value = CyclotomicNumber.from_json_obj(row["euler_value"])
+            total = total + cyc_root(k, row["root_power"]) * value * row["sign"]
+        spec = SumSpec.of(tuple(map(int, weights.split(","))), tuple(map(int, limits.split(","))),
+                          parse_rational("7/3"), 4, k, t)
+        got, want = total * Fraction(1, 2**r), closed_sum(spec)
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+        assert obj["closed"] == cli._ser_exact(got)
+
+    def test_trace_builds_one_euler_polynomial(self, monkeypatch, capsys):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return gen_euler_poly(*args)
+
+        monkeypatch.setattr(powersum, "gen_euler_poly", counting)
+        obj = run_json(capsys, "sum", "--weights", "3,1", "--limits", "10,15", "--x", "0",
+                       "--s", "2", "--k", "2", "--t", "1", "--trace")
+        assert obj["equal"] is True
+        assert len(builds) == 1
 
     def test_single_method(self, capsys):
         obj = run_json(
@@ -453,8 +492,7 @@ class TestDirectTail:
         "s, k, weights",
         [("0.05", "2", "1"), ("0.3", "2", "1"), ("0.3", "3", "1,2")],
     )
-    def test_slow_tail_is_refused(self, monkeypatch, capsys, s, k, weights):
-        monkeypatch.delenv("TWISTSUM_TOL", raising=False)
+    def test_slow_tail_is_refused(self, capsys, s, k, weights):
         args = ("zeta", "--s", s, "--x", "1", "--k", k, "--t", "1", "--weights", weights)
         code, out, err = run_cli(capsys, *args, "--method", "direct")
         assert (code, out) == (1, "")
@@ -694,49 +732,23 @@ class TestOutputModes:
 
 
 class TestToleranceEnvironment:
-    def test_malformed_env_tolerance_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("TWISTSUM_TOL", "abc")
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-10", "abc"])
+    def test_non_finite_or_nonpositive_tolerance_is_a_usage_error(self, capsys, value):
+        argv = ["zeta", "--s", "0.5", "--x", "1", "--k", "3", "--t", "1", "--weights", "1,2"]
         with pytest.raises(SystemExit) as exc:
-            main(["zeta", "--s", "2", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"])
+            main(["--tol", value, *argv])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-10"])
-    def test_non_finite_or_nonpositive_tolerance_is_a_usage_error(self, monkeypatch, capsys, value):
-        argv = ["zeta", "--s", "0.5", "--x", "1", "--k", "3", "--t", "1", "--weights", "1,2"]
-        for env, flag in ((value, []), ("1e-10", ["--tol", value])):
-            monkeypatch.setenv("TWISTSUM_TOL", env)
-            with pytest.raises(SystemExit) as exc:
-                main(flag + argv)
-            assert exc.value.code == 2
-            assert "--tol" in capsys.readouterr().err
-
-    def test_env_tolerance_is_the_default(self, monkeypatch, capsys):
-        # the direct sum's tail at s = 3 is about 1.9e-9: within 1e-6, not within 1e-12
+    def test_the_environment_does_not_set_the_tolerance(self, monkeypatch, capsys):
+        # the direct sum's tail at s = 3 (about 1.9e-9) misses the default 1e-10 and would meet 1e-6
         argv = ["zeta", "--method", "direct", "--s", "3", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"]
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
-        assert run_cli(capsys, *argv)[0] == 0
-        assert run_cli(capsys, "--tol", "1e-12", *argv)[0] == 1
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-12")
-        assert run_cli(capsys, *argv)[0] == 1
-        assert run_cli(capsys, "--tol", "1e-6", *argv)[0] == 0
-
-    def test_malformed_env_tolerance_gives_the_top_level_usage(self, monkeypatch, capsys):
-        # also for a command that does not read the tolerance
-        monkeypatch.setenv("TWISTSUM_TOL", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["sum", "--weights", "1,2", "--limits", "3,4", "--s", "3", "--k", "5", "--t", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: twistsum [-h]")
-        assert err.endswith("twistsum: error: argument --tol: tolerance must be finite and positive, got 'abc'\n")
-
-    def test_malformed_subcommand_option_wins_over_the_env_tolerance(self, monkeypatch, capsys):
-        monkeypatch.setenv("TWISTSUM_TOL", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["sum", "--weights", "1,a", "--limits", "3,4", "--s", "3", "--k", "5", "--t", "1"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith("argument --weights: expected comma-separated integers, got '1,a'\n")
+        monkeypatch.delenv("TWISTSUM_TOL", raising=False)
+        unset = run_cli(capsys, *argv)
+        assert unset[0] == 1
+        for value in ("1e-6", "abc"):
+            monkeypatch.setenv("TWISTSUM_TOL", value)
+            assert run_cli(capsys, *argv) == unset
 
 
 class TestSharedParser:
@@ -758,11 +770,10 @@ class TestSharedParser:
         assert builds == []
         assert cli._parser is parser
         assert parser._defaults == defaults
-        assert parser.get_default("tol") is None
+        assert parser.get_default("tol") == 1e-10
 
-    def test_concurrent_calls_keep_their_own_tolerance(self, monkeypatch):
+    def test_concurrent_calls_keep_their_own_tolerance(self):
         # at s = 3 the direct sum's tail (about 1.9e-9) meets 1e-6 and misses 1e-12
-        monkeypatch.delenv("TWISTSUM_TOL", raising=False)
         count = 8
         barrier = threading.Barrier(count)
         codes = [None] * count
@@ -778,23 +789,3 @@ class TestSharedParser:
         for thread in threads:
             thread.join()
         assert codes == [1, 0] * (count // 2)
-
-    def test_env_tolerance_set_between_calls_takes_effect(self, monkeypatch, capsys):
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-12")  # the tail at s = 3 is about 1.9e-9
-        assert run_cli(capsys, *self.DIRECT)[0] == 1
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
-        assert run_cli(capsys, *self.DIRECT)[0] == 0
-        monkeypatch.delenv("TWISTSUM_TOL")
-        assert run_cli(capsys, *self.DIRECT)[0] == 1  # the default 1e-10
-        assert run_cli(capsys, "--tol", "1e-6", *self.DIRECT)[0] == 0
-
-    def test_malformed_env_after_the_first_call_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
-        assert run_cli(capsys, *self.DIRECT)[0] == 0
-        monkeypatch.setenv("TWISTSUM_TOL", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(self.DIRECT)
-        assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
-        monkeypatch.setenv("TWISTSUM_TOL", "1e-6")
-        assert run_cli(capsys, *self.DIRECT)[0] == 0

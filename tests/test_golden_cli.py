@@ -24,6 +24,5 @@ def test_corpus_covers_every_case():
 
 @pytest.mark.parametrize("record", _RECORDS, ids=[" ".join(rec["argv"]) for rec in _RECORDS])
 def test_replay_is_byte_identical(record, monkeypatch):
-    monkeypatch.delenv("TWISTSUM_TOL", raising=False)
     monkeypatch.setenv("COLUMNS", regen.USAGE_COLUMNS)
     assert regen.replay(record["argv"]) == record
