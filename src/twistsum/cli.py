@@ -54,17 +54,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _scales(text: str) -> str:
-    """The argparse type of ``--scales``: each comma-separated part must read as a float.
-
-    The text is kept, because ``probe`` reads the scales of ``t3`` as integers.
-    """
+def _scales(text: str) -> list[float]:
+    """The argparse type of ``--scales``: comma-separated floats."""
     try:
-        for part in text.split(","):
-            float(part)
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    return text
 
 
 def _parse_complex(text: str) -> complex:
@@ -118,16 +113,19 @@ def _render(obj: dict, text_mode: bool) -> str:
     return "\n".join(lines)
 
 
-def _make_smooth(preset: str) -> SmoothFunction:
+def _make_smooth(preset: str):
+    """The argparse type of ``--preset``: poly:c0,c1,... or exp:alpha, as a ``SmoothFunction``."""
     from .euler_maclaurin import SmoothFunction
 
     kind, _, payload = preset.partition(":")
-    if kind == "poly":
-        coeffs = [Fraction(part) for part in payload.split(",") if part != ""]
-        return SmoothFunction.from_poly_coeffs(coeffs)
-    if kind == "exp":
-        return SmoothFunction.exponential(float(payload))
-    raise ValueError(f"unknown preset {preset!r}; use poly:c0,c1,... or exp:alpha")
+    try:
+        if kind == "poly":
+            return SmoothFunction.from_poly_coeffs([Fraction(part) for part in payload.split(",") if part != ""])
+        if kind == "exp":
+            return SmoothFunction.exponential(float(payload))  # refuses a non-finite alpha
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected poly:c0,c1,... or exp:alpha (finite alpha), got {preset!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +189,8 @@ def _cmd_c_values(args) -> dict:
 def _cmd_em_sum(args) -> dict:
     from .euler_maclaurin import em_sum_scaled, em_sum_unit
 
-    f = _make_smooth(args.preset)
     runner = em_sum_scaled if args.scaled else em_sum_unit
-    res = runner(f, args.m, args.n, args.k, args.a, args.q)
+    res = runner(args.preset, args.m, args.n, args.k, args.a, args.q)
     return {
         "main_terms": _ser_complex(res.main_terms),
         "remainder": _ser_complex(res.remainder),
@@ -225,8 +222,7 @@ def _cmd_probe(args) -> dict:
 
     target = {"t3": "limits", "t4": "shift"}[args.target]
     spec = ZetaSpec.of(args.s, args.x, args.k, args.t, args.weights, args.q)
-    scales = [float(v) if target == "shift" else int(v) for v in args.scales.split(",")]
-    report = decay_probe(target, spec, scales, tol=args.tol)
+    report = decay_probe(target, spec, args.scales, tol=args.tol)
     return report.to_json_obj()
 
 
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_c_values)
 
     p = sub.add_parser("em-sum", help="twisted Euler-Maclaurin evaluation")
-    p.add_argument("--preset", required=True, help="poly:c0,c1,... or exp:alpha")
+    p.add_argument("--preset", type=_make_smooth, required=True, help="poly:c0,c1,... or exp:alpha")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--weights", type=_parse_ints, required=True)
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=int, help="truncation depth of the main term (the probe needs it)")
     p.set_defaults(handler=_cmd_probe)
 
     p = sub.add_parser("verify", help="run the randomized verification suites")

@@ -27,27 +27,33 @@ whose truncation error decays as x grows; it is exact for integer sigma >= 0
 once q >= sigma + r.  The factor (sigma+1)_r cancels against the binomials
 of the star combination, so the term is summed without it
 (``twisted_c._star_sum``) and holds at every order, also in the convergent
-half-plane Re s >= 1.  With ``q`` unset, an integer order takes that exact
-value, by the one path of ``zeta_accelerated`` (``_exact_integer_order``), at
-every shift; an explicit ``q`` sums the float stars C*_{0..q,k}(A_r) to that
-depth.  Those stars do not depend on x; their float images are read from the
-bounded memo of ``twisted_c``, so every shift of one (q, k, t, A) shares one
-exact build.  ``finite_sum_asymptotic`` combines these main terms over the
-nonempty corner subsets with an accelerated zeta term to approximate the
-exact finite box sum.  At an integer order with ``q`` unset each of those
-terms is exact and embedded once, but they are added in floats, so the sum
-is the exact one up to that rounding (at s = -2, x = 1/2, k = 3, t = 1,
-A = (1, 2) and N = (3, 4) its real part is -17.875000000000032 for the
-exact -143/8).  ``decay_probe`` measures empirical error decay against the
-predicted exponent Re(sigma) - q + 2; its limits probe evaluates the
-continuation once, since Z(s, x) does not depend on the box.
+half-plane Re s >= 1.  ``q`` is the depth of that float sum and nothing
+else: an explicit ``q`` sums the float stars C*_{0..q,k}(A_r) to that depth,
+and with ``q`` unset an integer order s = -m <= 0 takes the exact value, by
+the one path of ``zeta_accelerated`` (``_exact_integer_order``), at every
+shift, while every other order is refused, since no depth is guessed.  Those
+stars do not depend on x; their float images are read from the bounded memo
+of ``twisted_c``, so every shift of one (q, k, t, A) shares one exact build.
+``finite_sum_asymptotic`` combines these main terms over the nonempty corner
+subsets with an accelerated zeta term to approximate the exact finite box
+sum; it evaluates the corner terms first, so each of their refusals comes
+before the continuation's work.  At an integer order with ``q`` unset each
+of those terms is exact and embedded once, but they are added in floats, so
+the sum is the exact one up to that rounding (at s = -2, x = 1/2, k = 3,
+t = 1, A = (1, 2) and N = (3, 4) its real part is -17.875000000000032 for
+the exact -143/8).  ``decay_probe`` measures the truncation at a fixed depth
+``q``, which it requires, against the predicted exponent Re(sigma) - q + 2;
+its limits probe evaluates the continuation once, since Z(s, x) does not
+depend on the box.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -99,11 +105,6 @@ class ZetaSpec:
     def sigma(self) -> complex:
         """The summand exponent of the polynomial formulations: sigma = -s."""
         return -self.s
-
-    def effective_q(self) -> int:
-        if self.q is not None:
-            return self.q
-        return max(1, math.ceil(self.sigma().real))
 
 
 def _term_power(base: float, exponent: complex) -> complex:
@@ -400,18 +401,18 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     ``decay_probe``).  The factor (sigma+1)_r cancels against the binomials
     of the star combination, so the term is evaluated as
     (-2/k)^r zeta^{-t A.1} times the pole-free sum ``twisted_c._star_sum``
-    at depth ``effective_q()`` and argument x - A.1 > 0, with no pole at
+    at depth ``q`` and argument x - A.1 > 0, with no pole at
     sigma = -1, ..., -r and so through the convergent half-plane too.
 
     With ``q`` unset, an integer order s = -m <= 0 returns the exact value
     of :func:`zeta_accelerated`, the term at q = m + r
     (:func:`_exact_integer_order`).  It is a polynomial in x, so it holds at
     every shift, also at x <= A.1, and an order whose float terms would
-    overflow is refused as there.  At every other order with ``q`` unset,
-    a default depth max(1, ceil Re sigma) below r is refused after the
-    branch check: every star it reads is zero.  An explicit ``q`` keeps the
-    float sum at that depth, whose truncation ``decay_probe`` measures; a
-    depth below r sums to 0.
+    overflow is refused as there.  Every other order with ``q`` unset is
+    refused, after the branch check, with a ValueError that names q and the
+    order: the truncated sum has no depth to stop at.  An explicit ``q``
+    keeps the float sum at that depth, whose truncation ``decay_probe``
+    measures; a depth below r sums to 0.
 
     The star sum's memo entry depends on q, k, t and A but not on x, so
     every shift of one spec reads the same float stars, and it refuses an
@@ -426,11 +427,13 @@ def zeta_asymptotic(spec: ZetaSpec) -> complex:
     arg = spec.x - weight_total
     if not (arg > 0):
         raise ValueError("branch violation: need x - A.1 > 0")
-    q = spec.effective_q()
-    if spec.q is None and q < r:
-        raise ValueError(f"default depth q = {q} is below r = {r}: every star it reads is zero; pass q >= {r}")
+    if spec.q is None:
+        order = f"{spec.s.real:g}" if spec.s.imag == 0 else f"{spec.s:g}"
+        raise ValueError(
+            f"truncation depth q is unset at s = {order}: only an integer order s = -m <= 0 is exact without it"
+        )
     prefactor = (-2.0 / k) ** r * roots_of_unity(k)[t * weight_total % k].conjugate()
-    return _star_sum(spec.sigma(), q, k, arg, spec.A, t, prefactor)
+    return _star_sum(spec.sigma(), spec.q, k, arg, spec.A, t, prefactor)
 
 
 def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) -> complex:
@@ -443,8 +446,11 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     scaled by 1/2^r.  With ``q`` unset, an integer order s = -m <= 0 takes
     the exact value at every corner and in the continuation, so the result
     is the exact box sum up to the rounding of that combination, at every
-    x >= 0 and box.  When the continuation stalls, its best estimate goes
-    through the same corners into the raised AccelerationError.
+    x >= 0 and box; every other order needs ``q``.  The 2^r - 1 corner terms
+    are evaluated first, so a corner's refusal (its branch, an unset ``q``,
+    an overflowing power, a depth q > 171) comes before any continuation
+    work.  When the continuation stalls, its best estimate goes through the
+    same corners into the raised AccelerationError.
     """
     return _corner_sum(spec, N, tol)[0]
 
@@ -459,24 +465,24 @@ def _corner_sum(
     again.
     """
     r = len(spec.A)
-    corners = spec.A.corners(N)  # checks the limits before any work
     k, t = spec.twist.k, spec.twist.t
     roots = roots_of_unity(k)
-
-    def with_corners(total: complex) -> complex:
-        for indices, shift, sign in corners:
-            if indices:
-                total += sign * roots[t * shift % k] * zeta_asymptotic(spec.with_x(spec.x + shift))
-        return total / (2**r)
-
+    # every corner main term first, so that each of their refusals comes before any continuation work
+    corner_terms = [
+        sign * roots[t * shift % k] * zeta_asymptotic(spec.with_x(spec.x + shift))
+        for indices, shift, sign in spec.A.corners(N)  # checks the limits before any work
+        if indices
+    ]
     if continuation is None:
         try:
             continuation = zeta_accelerated(spec, tol=tol)
         except AccelerationError as exc:
             if exc.best_estimate is None:
                 raise
-            raise AccelerationError(str(exc), with_corners(exc.best_estimate), exc.achieved_tol) from exc
-    return with_corners(continuation), continuation
+            estimate = functools.reduce(operator.add, corner_terms, exc.best_estimate) / 2**r
+            raise AccelerationError(str(exc), estimate, exc.achieved_tol) from exc
+    # Z + c_1 + c_2 + ... left to right, not by sum(), which newer Pythons compensate in the last bits
+    return functools.reduce(operator.add, corner_terms, continuation) / 2**r, continuation
 
 
 def finite_sum_direct(spec: ZetaSpec, N: Sequence[int]) -> complex:
@@ -601,35 +607,43 @@ def decay_probe(target: str, spec: ZetaSpec, scales: Sequence, tol: float = 1e-1
     accelerated continuation to tolerance ``tol``: the shift probe once per
     shift, the limits probe once in all, at the first scale, where a stall
     raises as ``finite_sum_asymptotic`` would for that box.
+
+    The probe measures the truncation at the fixed depth ``spec.q``, which
+    ``predicted`` reads, so an unset ``q`` is refused; so is a limit scale
+    that is not an integer, since the probe sums whole boxes.  Both are
+    refused after the checks of ``tol``, the scales and the target, and
+    before any work.
     """
     _require_tol(tol)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
     if not 0 < scales[0] or any(a >= b for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be positive and strictly increasing")
+    if target not in ("limits", "shift"):
+        raise ValueError("target must be 'limits' or 'shift'")
+    if target == "shift":
+        probe_specs = [spec.with_x(float(x)) for x in scales]  # refuses a bad shift before any work
+    elif not all(float(n).is_integer() for n in scales):
+        raise ValueError(f"limit scales must be integers (the probe sums whole boxes), got {list(scales)}")
+    if spec.q is None:
+        raise ValueError("truncation depth q is unset: the probe measures the truncation at a fixed depth q")
     points: list[tuple[float, float]] = []
     magnitudes: list[float] = []
     if target == "shift":
-        probe_specs = [spec.with_x(float(x)) for x in scales]  # refuses a bad shift before any work
         for x, probe_spec in zip(scales, probe_specs):
             reference = zeta_accelerated(probe_spec, tol=tol)
-            err = abs(reference - zeta_asymptotic(probe_spec))
-            points.append((float(x), err))
-            magnitudes.append(abs(reference))
-    elif target == "limits":
-        r = len(spec.A)
-        continuation = None  # Z(s, x), evaluated at the first scale only
-        for n in scales:
-            N = (int(n),) * r
-            reference = finite_sum_direct(spec, N)
-            value, continuation = _corner_sum(spec, N, tol, continuation)
-            err = abs(value - reference)
-            points.append((float(n), err))
+            points.append((float(x), abs(reference - zeta_asymptotic(probe_spec))))
             magnitudes.append(abs(reference))
     else:
-        raise ValueError("target must be 'limits' or 'shift'")
+        continuation = None  # Z(s, x), evaluated at the first scale only
+        for n in scales:
+            N = (int(n),) * len(spec.A)
+            reference = finite_sum_direct(spec, N)
+            value, continuation = _corner_sum(spec, N, tol, continuation)
+            points.append((float(n), abs(value - reference)))
+            magnitudes.append(abs(reference))
 
-    predicted = spec.sigma().real - spec.effective_q() + 2
+    predicted = spec.sigma().real - spec.q + 2
     if all(err <= _EXACT_FLOOR * (1.0 + mag) for (_, err), mag in zip(points, magnitudes)):
         return DecayReport(tuple(points), None, predicted, exact=True)
     return DecayReport(tuple(points), _loglog_slope(points), predicted, exact=False)

@@ -4,18 +4,20 @@ Each line records one call of ``twistsum.cli.main``: its argv, stdout,
 stderr and exit code.  The cases cover every command that reads the exact
 star table C*_{0..q,k}(A_r): ``zeta`` with each method (long periods,
 depths q = 171/172/300 and the overflow refusals among them, orders in the
-convergent half-plane, and a default depth below r, which is refused),
-``c-values --star/--multi`` exact and ``--numeric``, ``probe t3/t4``, and
-the ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  They also
-record the ``AccelerationError`` objects of four stalls (outer axis with a
-best estimate, inner axis without one, a finite box sum whose estimate goes
+convergent half-plane, non-integer orders without ``--q``, which are
+refused, and a corner off the branch, refused before the continuation runs),
+``c-values --star/--multi`` exact and ``--numeric``, ``probe t3/t4`` (with
+the refusals of a missing ``--q`` and a fractional limit scale), and the
+``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  They also record
+the ``AccelerationError`` objects of four stalls (outer axis with a best
+estimate, inner axis without one, a finite box sum whose estimate goes
 through the corners, and one that stalls on an inner axis and so has none),
 and cover the other commands: ``sum`` closed, brute, both and ``--trace``,
 ``euler-gen`` numbers and ``--poly``, ``c-values --a`` with and without
 ``--x``, ``em-sum`` unit and ``--scaled`` with poly and exp presets, the
-computational refusals of missing or unknown input (exit 1), one ``--text``
-call per command, the usage errors (exit 2) of a missing option and of a
-malformed ``--s``, ``--x``, ``--weights`` or ``--scales``, the ``exact``,
+computational refusals of missing input (exit 1), one ``--text`` call per
+command, the usage errors (exit 2) of a missing option and of a malformed
+``--s``, ``--x``, ``--weights``, ``--scales`` or ``--preset``, the ``exact``,
 ``powersum``, ``euler`` and ``em`` verify suites at seed 0, and the whole
 suite (``--suite all``) at seed 7.  No output depends on the wall clock.
 ``tests/test_golden_cli.py`` replays the corpus through :func:`replay` and
@@ -75,9 +77,13 @@ _ZETA = [
     "zeta --method asym --s 1.5 --x 40.5 --k 3 --t 1 --weights 1,2 --q 14",
     "zeta --method asym --s 1 --x 40.5 --k 3 --t 1 --weights 1,2 --q 14",
     "zeta --method finite --s 1.5 --x 40.5 --k 3 --t 1 --weights 1,2 --q 14 --limits 3,3",
-    # a default depth max(1, ceil Re sigma) below r is refused
+    # without --q a non-integer order is refused: no depth is guessed
     "zeta --method asym --s 0.3 --x 7 --k 5 --t 2 --weights 1,2,3",
     "zeta --method finite --s 0.3 --x 7 --k 5 --t 2 --weights 1,2,3 --limits 3,3,3",
+    "zeta --method asym --s 0.5 --x 2 --k 3 --t 1 --weights 1",
+    "zeta --method finite --s 0.5 --x 0.5 --k 3 --t 1 --weights 1 --limits 2",
+    # a corner off the branch is refused before the continuation runs
+    "zeta --method finite --s 0.5 --x 0.5 --k 5 --t 1 --weights 1,2,3 --limits 0,0,0 --q 6",
     # stars out of float range at depth 171: a power overflows first, then a star does
     "zeta --method asym --s 0.5 --x 101.001 --k 2 --t 1 --weights 101 --q 171",
     "zeta --method asym --s 0.5 --x 101.01 --k 2 --t 1 --weights 101 --q 171",
@@ -92,12 +98,15 @@ _ZETA = [
     "--tol 1e-6 zeta --method direct --s 3 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method direct --s 0.05 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method asym --s 0.5 --x 20 --k 2 --t 1 --weights 2 --q 3",
-    # AccelerationError: an outer-axis stall, an inner-axis stall, a stall through the corners,
-    # and an inner-axis stall of a box sum, with no estimate; then a box sum without --limits
+    # AccelerationError: an outer-axis stall and an inner-axis stall; without --q the box sums
+    # at these orders are refused, and with it one stalls through the corners and one on an
+    # inner axis, with no estimate; then a box sum without --limits
     "zeta --method accel --s=-2.5 --x 1 --k 6 --t 1 --weights 1",
     "zeta --method accel --s=-1.25 --x 1 --k 6 --t 1 --weights 1,1",
     "zeta --method finite --s=-2.5 --x 1 --k 6 --t 1 --weights 1 --limits 10",
     "zeta --method finite --s=-1.25 --x 1 --k 6 --t 1 --weights 1,1 --limits 3,3",
+    "zeta --method finite --s=-2.5 --x 1 --k 6 --t 1 --weights 1 --limits 10 --q 3",
+    "zeta --method finite --s=-1.25 --x 1 --k 6 --t 1 --weights 1,1 --limits 3,3 --q 2",
     "zeta --method finite --s 0.5 --x 1 --k 2 --t 1 --weights 1",
 ]
 
@@ -123,6 +132,8 @@ _PROBE = [
     "probe --target t4 --scales 10,20,40 --s=-2 --x 10 --k 3 --t 1 --weights 1,2 --q 4",
     "probe --target t3 --scales 8,16,32 --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2",
     "probe --target t3 --scales 4,8,16 --s=-1 --x 1 --k 3 --t 1 --weights 1,2 --q 3",
+    "probe --target t4 --scales 10,20,40 --s 0.5 --x 10 --k 2 --t 1 --weights 1",
+    "probe --target t3 --scales 8.5,16,32 --s 0.5 --x 1 --k 4 --t 1 --weights 1,3 --q 2",
 ]
 
 _VERIFY = [f"verify --suite {suite} --seed {seed}" for suite in ("cvalues", "zeta") for seed in (0, 7)]
@@ -157,8 +168,11 @@ _EM_SUM = [
     "em-sum --preset exp:0.3 --m 0 --n 2 --k 3 --a 1 --q 4",
     "em-sum --preset poly:1,2,0,1 --m 0 --n 3 --k 4 --a 1 --q 3 --scaled",
     "em-sum --preset exp:0.3 --m 0 --n 2 --k 3 --a 1 --q 4 --scaled",
+    # a preset that does not parse, or a non-finite rate, is a usage error
     "em-sum --preset exp:nan --m 0 --n 3 --k 3 --a 1 --q 2",
     "em-sum --preset sin:1 --m 0 --n 1 --k 2 --a 1 --q 2",
+    "em-sum --preset poly:1,a --m 0 --n 1 --k 2 --a 1 --q 2",
+    "em-sum --preset exp:abc --m 0 --n 1 --k 2 --a 1 --q 2",
 ]
 
 _TEXT = [

@@ -244,14 +244,15 @@ GOLDEN_C_TILDE_9_7_3 = (
 
 
 class TestEmSumCommand:
-    def test_non_finite_rate_is_a_json_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "em-sum", "--preset", "exp:nan", "--m", "0", "--n", "3", "--k", "3", "--a", "1", "--q", "2"
+    def test_non_finite_rate_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["em-sum", "--preset", "exp:nan", "--m", "0", "--n", "3", "--k", "3", "--a", "1", "--q", "2"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "argument --preset: expected poly:c0,c1,... or exp:alpha (finite alpha), got 'exp:nan'\n"
         )
-        assert (code, out) == (1, "")
-        payload = json.loads(err)
-        assert payload["type"] == "ValueError"
-        assert "must be finite" in payload["error"]
 
     def test_exp_preset_has_twelve_derivatives(self, capsys):
         code, out, err = run_cli(
@@ -460,7 +461,7 @@ class TestZetaCommand:
         # a stall on an inner axis leaves no estimate to carry through the corners
         code, out, err = run_cli(
             capsys, "zeta", "--method", "finite", "--s=-1.25", "--x", "1", "--k", "6", "--t", "1",
-            "--weights", "1,1", "--limits", "3,3",
+            "--weights", "1,1", "--limits", "3,3", "--q", "2",
         )
         assert (code, out) == (1, "")
         payload = json.loads(err)
@@ -592,14 +593,17 @@ class TestProbeCommand:
         assert "must be finite" in payload["error"]
 
     def test_non_integer_limits_scale_is_a_json_error(self, capsys):
-        # every part reads as a float, so the parser passes it; t3 reads its scales as integers
+        # every part reads as a float, so the parser passes it; the limits probe sums whole boxes
         code, out, err = run_cli(
             capsys,
             "probe", "--target", "t3", "--scales", "8.5,16,32",
             "--s", "0.5", "--k", "2", "--t", "1", "--weights", "1", "--q", "2",
         )
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "invalid literal for int() with base 10: '8.5'", "type": "ValueError"}
+        assert json.loads(err) == {
+            "error": "limit scales must be integers (the probe sums whole boxes), got [8.5, 16.0, 32.0]",
+            "type": "ValueError",
+        }
 
 
 class TestVerifyCommand:
@@ -651,6 +655,12 @@ class TestVerifyCommand:
         (("probe", "--target", "t3", "--scales", "8,,32", "--s", "0.5", "--k", "2", "--t", "1",
           "--weights", "1", "--q", "2"),
          "argument --scales: expected comma-separated numbers, got '8,,32'"),
+        (("em-sum", "--preset", "sin:1", "--m", "0", "--n", "1", "--k", "2", "--a", "1", "--q", "2"),
+         "argument --preset: expected poly:c0,c1,... or exp:alpha (finite alpha), got 'sin:1'"),
+        (("em-sum", "--preset", "poly:1,a", "--m", "0", "--n", "1", "--k", "2", "--a", "1", "--q", "2"),
+         "argument --preset: expected poly:c0,c1,... or exp:alpha (finite alpha), got 'poly:1,a'"),
+        (("em-sum", "--preset", "exp:abc", "--m", "0", "--n", "1", "--k", "2", "--a", "1", "--q", "2"),
+         "argument --preset: expected poly:c0,c1,... or exp:alpha (finite alpha), got 'exp:abc'"),
     ],
 )
 def test_malformed_order_or_shift_is_a_usage_error(capsys, argv, message):
@@ -668,8 +678,6 @@ def test_malformed_order_or_shift_is_a_usage_error(capsys, argv, message):
         (("zeta", "--method", "finite", "--s", "0.5", "--x", "1", "--k", "2", "--t", "1", "--weights", "1"),
          "--limits is required for --method finite"),
         (("c-values", "--n", "3", "--k", "3"), "--a is required unless --multi is given"),
-        (("em-sum", "--preset", "sin:1", "--m", "0", "--n", "1", "--k", "2", "--a", "1", "--q", "2"),
-         "unknown preset 'sin:1'; use poly:c0,c1,... or exp:alpha"),
     ],
 )
 def test_missing_or_unknown_input_is_a_json_error(capsys, argv, message):

@@ -33,11 +33,6 @@ def spec_of(s, x, k, t, A, q=None):
 
 
 class TestZetaSpec:
-    def test_default_truncation_depth(self):
-        assert spec_of(-2, 1, 2, 1, (1,)).effective_q() == 2
-        assert spec_of(0.5, 1, 2, 1, (1,)).effective_q() == 1  # ceil(-0.5) clamped to 1
-        assert spec_of(-2, 1, 2, 1, (1,), q=5).effective_q() == 5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             spec_of(1, -1, 2, 1, (1,))
@@ -225,6 +220,7 @@ class TestAccelerated:
         value = zeta_accelerated(spec)
         assert abs(info.value.best_estimate - value) <= 1e-8 * abs(value)
         # the finite sum carries the estimate through its corners
+        spec = spec_of(0.5, 3.5, 3, 1, (1,), q=1)  # the corners at s = 0.5 need a depth
         with pytest.raises(AccelerationError) as info:
             finite_sum_asymptotic(spec, (10,), tol=1e-30)
         value = finite_sum_asymptotic(spec, (10,))
@@ -733,10 +729,14 @@ class TestExactIntegerOrders:
 
 
 def star_combination_of(spec):
-    """The star combination inside ``zeta_asymptotic(spec)``, by ``twisted_c.c_star_s``."""
+    """The star combination inside ``zeta_asymptotic(spec)``, by ``twisted_c.c_star_s``.
+
+    With ``q`` unset it sums to depth max(1, ceil Re sigma), which is m at an integer order s = -m.
+    """
     r = len(spec.A)
     x = spec.x - sum(spec.A.entries)
-    return twisted_c.c_star_s(spec.sigma() + r, spec.effective_q(), spec.twist.k, x, spec.A, spec.twist.t)
+    q = spec.q or max(1, math.ceil(spec.sigma().real))
+    return twisted_c.c_star_s(spec.sigma() + r, q, spec.twist.k, x, spec.A, spec.twist.t)
 
 
 # (id prefix, evaluator): both refuse before the star table is built; the
@@ -814,11 +814,14 @@ class TestAsymptotic:
         assert count == 288
 
     def test_default_depth_below_r_refused(self):
-        # max(1, ceil(-0.3)) = 1 < r = 3 would read only the zero stars C*_0, C*_1
+        # with q unset a non-integer order has no depth to sum to: no guess, such as
+        # max(1, ceil(-0.3)) = 1 < r = 3, which would read only the zero stars C*_0, C*_1
         spec = spec_of(0.3, 7, 5, 2, (1, 2, 3))
         for evaluate in (zeta_asymptotic, lambda sp: finite_sum_asymptotic(sp, (3, 3, 3))):
-            with pytest.raises(ValueError, match="default depth q = 1 is below r = 3"):
+            with pytest.raises(ValueError, match=r"truncation depth q is unset at s = 0\.3: only an integer order"):
                 evaluate(spec)
+        with pytest.raises(ValueError, match=r"q is unset at s = 2\.5-1j"):
+            zeta_asymptotic(spec_of(2.5 - 1j, 7, 5, 2, (1, 2, 3)))
         # the branch check comes first
         with pytest.raises(ValueError, match="branch violation"):
             zeta_asymptotic(spec_of(0.5, 2, 3, 1, (1, 2)))
@@ -943,6 +946,20 @@ class TestFiniteSum:
         with pytest.raises(ValueError, match="limits must be nonnegative"):
             finite_sum_asymptotic(spec_of(-1.5, 10, 5, 2, (1, 3), q=4), (-1, 3))
 
+    def test_corner_refusals_come_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        monkeypatch.setattr(zeta_mod, "finite_sum_direct", no_work)
+        # the corner {1} of the box 0 lies at x + 1 = 2 < A.1 = 10, off the branch
+        with pytest.raises(ValueError, match="branch violation"):
+            finite_sum_asymptotic(spec_of(0.5, 1, 5, 1, (1, 2, 3, 4), q=6), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="branch violation"):
+            finite_sum_asymptotic(spec_of(2.5 - 1j, 1, 5, 1, (1, 2, 3, 4)), (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="truncation depth q is unset at s = 0.5"):
+            finite_sum_asymptotic(spec_of(0.5, 0.5, 3, 1, (1,)), (2,))
+
     def test_tolerance_reaches_the_continuation(self, monkeypatch):
         seen = []
         accelerated = zeta_mod.zeta_accelerated
@@ -1021,7 +1038,7 @@ class TestDecayProbe:
         assert len(calls) == 1
 
     def test_limit_probe_stall_raises_at_the_first_scale(self, monkeypatch):
-        spec = spec_of(0.5, 3.5, 3, 1, (1,))
+        spec = spec_of(0.5, 3.5, 3, 1, (1,), q=1)
         with pytest.raises(AccelerationError) as info:
             finite_sum_asymptotic(spec, (10,), tol=1e-30)
         expected = info.value
@@ -1066,6 +1083,22 @@ class TestDecayProbe:
             decay_probe("shift", spec, [20, 20, 40])
         with pytest.raises(ValueError, match="positive"):
             decay_probe("limits", spec, [0, 8, 16])
+
+    def test_unset_depth_and_fractional_limit_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(zeta_mod, "zeta_accelerated", no_work)
+        monkeypatch.setattr(zeta_mod, "finite_sum_direct", no_work)
+        spec = spec_of(0.5, 10, 2, 1, (1,))
+        for target in ("shift", "limits"):
+            with pytest.raises(ValueError, match="truncation depth q is unset"):
+                decay_probe(target, spec, [10, 20, 40])
+        # the box N = 8 would be reported as the point 8.5
+        with pytest.raises(ValueError, match=r"limit scales must be integers .*, got \[8\.5, 16, 32\]"):
+            decay_probe("limits", spec_of(0.5, 1, 4, 1, (1, 3), q=2), [8.5, 16, 32])
+        with pytest.raises(ValueError, match=r"limit scales must be integers .*, got \[8, 16, inf\]"):
+            decay_probe("limits", spec_of(0.5, 1, 4, 1, (1, 3), q=2), [8, 16, math.inf])
 
     def test_bad_tolerance_rejected_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
