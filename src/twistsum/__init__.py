@@ -63,7 +63,6 @@ _EXPORTS = {
         "c_star_s_exact",
         "c_tilde",
         "em_constant",
-        "general_binomial",
         "pochhammer",
     ),
     "zeta": (

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .bernoulli_euler import _check_twist
 from .exact import roots_of_unity
-from .twisted_c import _periodic_kernel, em_constant
+from .twisted_c import _PeriodicKernel, em_constant
 
 # 16-point Gauss-Legendre rule on [-1, 1], the doubles of
 # numpy.polynomial.legendre.leggauss(16) (tests compare them bit for bit)
@@ -136,7 +136,7 @@ def quad_remainder(
         raise ValueError("lo must not exceed hi")
     if lo == hi:
         return 0j
-    kernel = _periodic_kernel(q, k, a % k)
+    kernel = _PeriodicKernel(q, k, a % k)
     tables: dict[int, list[complex]] = {}  # residue j mod k -> weight * kernel per node
 
     def cell(left: float, right: float, residue: Optional[int]) -> complex:

@@ -121,7 +121,7 @@ def c_tilde(spec: CPolySpec, x: Union[RationalLike, float]) -> Union[CyclotomicN
             spec.k,
             ((spec.a * l, periodic_bernoulli(spec.n, xq - Fraction(l, spec.k))) for l in range(spec.k)),
         )
-    return _periodic_kernel(spec.n, spec.k, spec.a % spec.k)(float(x))
+    return _PeriodicKernel(spec.n, spec.k, spec.a % spec.k)(float(x))
 
 
 class _PeriodicKernel:
@@ -150,16 +150,6 @@ class _PeriodicKernel:
         return total
 
 
-@functools.lru_cache(maxsize=128)
-def _periodic_kernel(n: int, k: int, residue: int) -> _PeriodicKernel:
-    """The kernel for C~_{n,k}(.;a), keyed on residue = a % k; the latest 128 keys are kept.
-
-    The kernel depends on a only through a % k, so callers must reduce a
-    before the call: a raw a gives the same values but takes a second key.
-    """
-    return _PeriodicKernel(n, k, residue)
-
-
 def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
     """The Euler-Maclaurin constant C_{l,k}(a) := C~_{l,k}(0;a)."""
     CPolySpec(l, k, a)  # validate before a is reduced mod k
@@ -168,7 +158,7 @@ def em_constant(l: int, k: int, a: int) -> CyclotomicNumber:
 
 @functools.lru_cache(maxsize=128)
 def _em_constant(l: int, k: int, residue: int) -> CyclotomicNumber:
-    """:func:`em_constant`, keyed and bounded like :func:`_periodic_kernel`."""
+    """:func:`em_constant`, keyed on residue = a % k; the latest 128 keys are kept."""
     return c_tilde(CPolySpec(l, k, residue), Fraction(0))
 
 
@@ -304,14 +294,7 @@ def pochhammer(s: complex, r: int) -> complex:
     return acc
 
 
-def general_binomial(s: complex, j: int) -> complex:
-    """Binomial coefficient C(s, j) = s (s-1) ... (s-j+1) / j! for complex s."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return pochhammer(s - j + 1, j) / math.factorial(j)
-
-
-def _star_sum(sigma: complex, m: int, k: int, y: float, A, t: int = 1, scale: complex = 1) -> complex:
+def _star_sum(sigma: complex, m: int, k: int, y: float, A, t: int, scale: complex) -> complex:
     """scale sum_{r<=j<=m} (-k)^j sigma^(j-r falling)/j! C*_{j,k}(A_r) y^{sigma+r-j}, principal branch.
 
     The star combination C*_{sigma+r,m,k}(y;A_r) with its factor

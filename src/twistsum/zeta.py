@@ -8,15 +8,18 @@ For weights A_r, twist root zeta_k^t and shift x >= 0,
 of the polynomial formulations is sigma = -s.  ``zeta_direct`` evaluates the
 blocked partial sum in the convergent regime, and ``_direct_value``, the
 contract of ``zeta --method direct``, returns it only when its estimated
-tail meets the tolerance; ``zeta_accelerated`` evaluates the analytic
-continuation.  At an integer order s = -m <= 0 the continuation is exact: it
-is the asymptotic main term below at q = m + r, a polynomial of degree m in
-x, evaluated in Q(zeta_k) from the memoized generalized Euler numbers at the
-conjugate twist and embedded once, so its work depends on m, k and r and
-never on the period lcm(k, A).  Every other order takes an iterated,
-twist-weighted Euler transformation applied axis by axis over a fixed number
-of terms per axis (``_ACCEL_TERMS``), which returns a value only within its
-tolerance and otherwise raises with its best estimate.
+tail meets the tolerance, so a NaN tail or a non-finite sum is refused;
+``zeta_accelerated`` evaluates the analytic continuation.  At an integer
+order s = -m <= 0 the continuation is exact: it is the asymptotic main term
+below at q = m + r, a polynomial of degree m in x, evaluated in Q(zeta_k)
+from the memoized generalized Euler numbers at the conjugate twist and
+embedded once, so its work depends on m, k and r and never on the period
+lcm(k, A).  Every other order takes an iterated, twist-weighted Euler
+transformation applied axis by axis over a fixed number of terms per axis
+(``_ACCEL_TERMS``), which returns a value only within its tolerance.  A
+stall is raised where it is measured: ``_accelerate`` builds the one
+:class:`AccelerationError`, with its best estimate of Z on the outermost
+axis and none on an inner one.
 
 ``zeta_asymptotic`` evaluates the closed-form main term
 
@@ -37,14 +40,15 @@ of ``twisted_c``, so every shift of one (q, k, t, A) shares one exact build.
 ``finite_sum_asymptotic`` combines these main terms over the nonempty corner
 subsets with an accelerated zeta term to approximate the exact finite box
 sum; it evaluates the corner terms first, so each of their refusals comes
-before the continuation's work.  At an integer order with ``q`` unset each
-of those terms is exact and embedded once, but they are added in floats, so
-the sum is the exact one up to that rounding (at s = -2, x = 1/2, k = 3,
-t = 1, A = (1, 2) and N = (3, 4) its real part is -17.875000000000032 for
-the exact -143/8).  ``decay_probe`` measures the truncation at a fixed depth
-``q``, which it requires, against the predicted exponent Re(sigma) - q + 2;
-its limits probe evaluates the continuation once, since Z(s, x) does not
-depend on the box.
+before the continuation's work, and when the continuation stalls it moves
+that error's estimate through the corners and re-raises it.  At an integer
+order with ``q`` unset each of those terms is exact and embedded once, but
+they are added in floats, so the sum is the exact one up to that rounding
+(at s = -2, x = 1/2, k = 3, t = 1, A = (1, 2) and N = (3, 4) its real part
+is -17.875000000000032 for the exact -143/8).  ``decay_probe`` measures the
+truncation at a fixed depth ``q``, which it requires, against the predicted
+exponent Re(sigma) - q + 2; its limits probe evaluates the continuation
+once, since Z(s, x) does not depend on the box.
 """
 
 from __future__ import annotations
@@ -200,9 +204,9 @@ def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
 
         tail(T) = |S(T) - S(T')| / ((T/T')^sigma - 1).
 
-    S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise an
-    :class:`AccelerationError` carries S(T) and tail(T).  ``terms`` < 2 is
-    refused before any sum.
+    S(T) is returned when tail(T) <= tol (1 + |S(T)|); otherwise, also when
+    either is NaN or infinite, an :class:`AccelerationError` carries S(T)
+    and tail(T).  ``terms`` < 2 is refused before any sum.
     """
     if terms < 2:
         raise ValueError("--terms must be at least 2 for --method direct (the tail estimate halves it)")
@@ -211,7 +215,7 @@ def _direct_value(spec: ZetaSpec, terms: int, tol: float) -> complex:
     rate = spec.s.real * math.log(terms / half)  # (T/T')^sigma = e^rate, which may overflow
     drop = -math.expm1(-rate)  # 0 when rate underflows, at a subnormal sigma: no estimate
     tail = abs(value - zeta_direct(spec, half)) * math.exp(-rate) / drop if drop else math.inf
-    if tail > tol * (1 + abs(value)):
+    if not tail <= tol * (1 + abs(value)):  # a NaN tail, or a non-finite sum, is refused too
         raise AccelerationError(
             f"direct sum over {terms} blocks per axis misses --tol {tol:g}: estimated tail "
             f"{tail:.3g} at Re s = {spec.s.real:g}; raise --terms or use --method accel",
@@ -234,8 +238,8 @@ def _require_tol(tol: float) -> None:
 
 
 def _accelerate(
-    terms: Sequence[complex], w: complex, tol: float
-) -> tuple[complex, float, bool]:
+    terms: Sequence[complex], w: complex, tol: float, scale: Optional[int]
+) -> tuple[complex, float]:
     """Sum sum_n w^n g_n from the raw terms w^n g_n via iterated averaging.
 
     One pass maps partial sums S_i -> (S_{i+1} - w S_i)/(1 - w), which kills
@@ -248,8 +252,10 @@ def _accelerate(
     all for P passes, with the same float operations as building every pass
     in full.  Convergence is declared when two successive pass values stay
     within ``tol * (1 + |value|)``; a pair that agrees only to the rounding
-    noise of large partial sums does not count.  Returns (value, achieved,
-    converged), with the best estimate and its delta when not converged.
+    noise of large partial sums does not count.  Returns (value, delta).  A
+    stall is raised here, where it is measured: :class:`AccelerationError`
+    carries the pass value with the least delta times ``scale`` (None when
+    ``scale`` is None: the caller's value is no estimate) and that delta.
     """
     sums = list(itertools.accumulate(terms, initial=0j))[1:]
     best, best_delta = sums[-1], math.inf
@@ -270,11 +276,15 @@ def _accelerate(
             if delta <= tol * (1.0 + abs(value)):
                 stable += 1
                 if stable >= 2:
-                    return value, delta, True
+                    return value, delta
             else:
                 stable = 0
         prev = value
-    return best, best_delta, False
+    raise AccelerationError(
+        f"acceleration stalled at tolerance {best_delta:.3e} (requested {tol:.3e})",
+        None if scale is None else scale * best,
+        best_delta,
+    )
 
 
 def zeta_accelerated(spec: ZetaSpec, tol: float = 1e-10) -> complex:
@@ -375,15 +385,8 @@ def _transform(spec: ZetaSpec, tol: float) -> complex:
                 table[n % k] * axis_value(level - 1, shift + a * n, inner_tol)
                 for n in range(_ACCEL_TERMS)
             ]
-        value, achieved, converged = _accelerate(terms, w, level_tol)
-        if not converged:
-            # only the outermost axis value, times 2^r, estimates Z
-            raise AccelerationError(
-                f"acceleration stalled at tolerance {achieved:.3e} (requested {level_tol:.3e})",
-                best_estimate=(2**r) * value if level == r - 1 else None,
-                achieved_tol=achieved,
-            )
-        return value
+        # only the outermost axis value, times 2^r, estimates Z
+        return _accelerate(terms, w, level_tol, 2**r if level == r - 1 else None)[0]
 
     return (2**r) * axis_value(r - 1, spec.x, tol)
 
@@ -450,7 +453,7 @@ def finite_sum_asymptotic(spec: ZetaSpec, N: Sequence[int], tol: float = 1e-10) 
     are evaluated first, so a corner's refusal (its branch, an unset ``q``,
     an overflowing power, a depth q > 171) comes before any continuation
     work.  When the continuation stalls, its best estimate goes through the
-    same corners into the raised AccelerationError.
+    same corners, in the raised AccelerationError itself.
     """
     return _corner_sum(spec, N, tol)[0]
 
@@ -477,10 +480,9 @@ def _corner_sum(
         try:
             continuation = zeta_accelerated(spec, tol=tol)
         except AccelerationError as exc:
-            if exc.best_estimate is None:
-                raise
-            estimate = functools.reduce(operator.add, corner_terms, exc.best_estimate) / 2**r
-            raise AccelerationError(str(exc), estimate, exc.achieved_tol) from exc
+            if exc.best_estimate is not None:
+                exc.best_estimate = functools.reduce(operator.add, corner_terms, exc.best_estimate) / 2**r
+            raise
     # Z + c_1 + c_2 + ... left to right, not by sum(), which newer Pythons compensate in the last bits
     return functools.reduce(operator.add, corner_terms, continuation) / 2**r, continuation
 

@@ -11,8 +11,9 @@ the refusals of a missing ``--q`` and a fractional limit scale), and the
 ``cvalues`` and ``zeta`` verify suites at seeds 0 and 7.  They also record
 the ``AccelerationError`` objects of four stalls (outer axis with a best
 estimate, inner axis without one, a finite box sum whose estimate goes
-through the corners, and one that stalls on an inner axis and so has none),
-and cover the other commands: ``sum`` closed, brute, both and ``--trace``,
+through the corners, and one that stalls on an inner axis and so has none)
+and of a direct sum whose first term overflows, so its tail is NaN, and
+cover the other commands: ``sum`` closed, brute, both and ``--trace``,
 ``euler-gen`` numbers and ``--poly``, ``c-values --a`` with and without
 ``--x``, ``em-sum`` unit and ``--scaled`` with poly and exp presets, the
 computational refusals of missing input (exit 1), one ``--text`` call per
@@ -97,6 +98,8 @@ _ZETA = [
     "zeta --method finite --s=-2 --x 0.5 --k 3 --t 1 --weights 1,2 --limits 0,0",
     "--tol 1e-6 zeta --method direct --s 3 --x 1 --k 2 --t 1 --weights 1",
     "zeta --method direct --s 0.05 --x 1 --k 2 --t 1 --weights 1",
+    # a direct sum whose first term overflows: its tail is NaN
+    "zeta --method direct --s 2 --x 1e-154 --k 2 --t 1 --weights 1",
     "zeta --method asym --s 0.5 --x 20 --k 2 --t 1 --weights 2 --q 3",
     # AccelerationError: an outer-axis stall and an inner-axis stall; without --q the box sums
     # at these orders are refused, and with it one stalls through the corners and one on an

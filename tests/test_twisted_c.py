@@ -27,7 +27,6 @@ from twistsum.twisted_c import (
     c_star_s_exact,
     c_tilde,
     em_constant,
-    general_binomial,
     pochhammer,
 )
 
@@ -171,10 +170,8 @@ class TestPeriodicKernel:
 class TestOrderKeyedMemos:
     def test_a_sweep_of_orders_keeps_at_most_128_keys(self):
         for n in range(200):
-            twisted_c._periodic_kernel(n, 2, 1)
             em_constant(n, 2, 1)
-        for memo in (twisted_c._periodic_kernel, twisted_c._em_constant):
-            assert memo.cache_info().currsize <= 128
+        assert twisted_c._em_constant.cache_info().currsize <= 128
 
 
 class TestEmConstant:
@@ -417,11 +414,6 @@ class TestPochhammer:
             s = complex(rng.uniform(-5, 5), rng.uniform(-3, 3))
             r = rng.randint(1, 10)
             assert pochhammer(s, r) == pytest.approx(pochhammer(s, r - 1) * (s + r - 1), rel=1e-12)
-
-    def test_binomial(self):
-        assert general_binomial(1.23, 0) == 1
-        assert general_binomial(4, 2) == pytest.approx(6)
-        assert general_binomial(-0.5, 2) == pytest.approx(0.375)
 
 
 class TestCStarS:

@@ -96,6 +96,15 @@ class TestDirectContract:
             zeta_mod._direct_value(spec_of(5e-324, 1, 2, 1, (1,)), 3, 1e-10)
         assert info.value.achieved_tol == math.inf
 
+    def test_non_finite_sum_is_refused_with_its_nan_tail(self):
+        # the first term (1e-154)^-2 overflows to inf, so S(T) - S(T') is inf - inf
+        spec = spec_of(2, 1e-154, 2, 1, (1,))
+        with pytest.raises(AccelerationError, match="estimated tail nan") as info:
+            zeta_mod._direct_value(spec, 400, 1e-10)
+        assert repr(info.value.best_estimate) == repr(zeta_direct(spec, 400))
+        assert math.isinf(info.value.best_estimate.real)
+        assert math.isnan(info.value.achieved_tol)
+
     @pytest.mark.parametrize("terms", [1, 0, -3])
     def test_fewer_than_two_terms_refused_before_any_sum(self, monkeypatch, terms):
         def no_work(*args, **kwargs):
@@ -314,12 +323,18 @@ class TestTailBuiltTransform:
                     g = [(i + x) ** degree for i in range(n)]
                     tol = 1e-14
                 terms = [roots[a * i % k] * gi for i, gi in enumerate(g)]
-                got = zeta_mod._accelerate(terms, roots[a], tol)
-                assert repr(got) == repr(accelerate_by_passes(terms, roots[a], tol)), (n, kind, k, a)
-                value, delta, converged = got
+                value, delta, converged = accelerate_by_passes(terms, roots[a], tol)
                 if not converged:
+                    # the stall is raised with the best estimate times the scale, here 1
+                    with pytest.raises(AccelerationError) as info:
+                        zeta_mod._accelerate(terms, roots[a], tol, 1)
+                    got = (info.value.best_estimate, info.value.achieved_tol)
+                    assert repr(got) == repr((value, delta)), (n, kind, k, a)
                     outcomes.add("stalled")
-                elif delta <= tol * (1.0 + abs(value)):
+                    continue
+                got = zeta_mod._accelerate(terms, roots[a], tol, 1)
+                assert repr(got) == repr((value, delta)), (n, kind, k, a)
+                if delta <= tol * (1.0 + abs(value)):
                     outcomes.add("tolerance")
                 else:
                     outcomes.add("noise floor")
@@ -332,7 +347,7 @@ class TestTailBuiltTransform:
         terms = [roots[i % 3] * (i + 0.5) ** 2 for i in range(56)]
         tail, full = CountingRoot(roots[1]), CountingRoot(roots[1])
         tail.products = full.products = 0
-        assert zeta_mod._accelerate(terms, tail, 1e-10)[2]
+        zeta_mod._accelerate(terms, tail, 1e-10, None)  # converges: a stall would raise
         assert accelerate_by_passes(terms, full, 1e-10)[2]
         passes = 5
         assert full.products == sum(56 - p for p in range(1, passes + 1))
@@ -806,7 +821,8 @@ class TestAsymptotic:
                         total = 0j
                         for j, star in enumerate(twisted_c._periodic_stars(q, k, A, t)):
                             power = complex(y) ** (sigma + r - j)
-                            total += (-k) ** j * twisted_c.general_binomial(sigma + r, j) * star.embed() * power
+                            binomial = twisted_c.pochhammer(sigma + r - j + 1, j) / math.factorial(j)  # C(sigma+r, j)
+                            total += (-k) ** j * binomial * star.embed() * power
                         root = roots_of_unity(k)[t * weight_total % k].conjugate()
                         expected = (-2) ** r * root / (k**r * twisted_c.pochhammer(sigma + 1, r)) * total
                         assert abs(zeta_asymptotic(spec) - expected) <= 1e-13 * abs(expected), (s, k, t, A, y, q)
